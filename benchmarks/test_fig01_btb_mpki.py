@@ -2,9 +2,9 @@
 
 Paper result: most workloads keep missing until ~16K entries; OLTP on Oracle
 benefits even from 32K.  Our scaled-down workloads saturate roughly one
-capacity step earlier (see EXPERIMENTS.md), but the shape — a steep drop that
-only flattens at multi-thousand-entry capacities far beyond a practical
-single-cycle BTB — is the result being reproduced.
+capacity step earlier, but the shape — a steep drop that only flattens at
+multi-thousand-entry capacities far beyond a practical single-cycle BTB — is
+the result being reproduced.
 """
 
 from repro.analysis import btb_capacity_sweep, format_table

@@ -4,7 +4,7 @@ Paper result: Confluence delivers 85% of the Ideal improvement at ~1% core
 area overhead, while the best alternative (2LevelBTB+SHIFT) reaches 62% at
 ~8% area.  Our reproduction preserves the ordering and the area story; the
 absolute fraction of Ideal is lower because SHIFT covers a smaller share of
-L1-I misses on the synthetic workloads (see EXPERIMENTS.md).
+L1-I misses on the synthetic workloads.
 """
 
 from repro.analysis import frontend_comparison, format_table

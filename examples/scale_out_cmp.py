@@ -5,10 +5,11 @@ Simulates a few cores of the 16-core CMP running the media-streaming
 workload through the Session facade.  All cores share one SHIFT history
 (virtualized in the LLC); only core 0 records it, the others replay it — the
 sharing that lets Confluence amortize its metadata across the chip.  The
-session's design points run through the sweep engine: ``workers=2`` fans the
-(profile, design) cells out across worker processes, bit-identically to the
-serial path (see examples/grid_sweep.py for multi-profile grids and the
-on-disk result cache).
+session's design points run through the sweep engine: ``workers=2`` spreads
+the three (profile, design) cells over the engine's two-process cell pool,
+each cell simulating its four cores in turn, bit-identically to the serial
+path (see examples/grid_sweep.py for multi-profile grids and the on-disk
+result cache).
 """
 
 from repro import Session

@@ -16,9 +16,8 @@ byte budget.
 The ``bench`` subcommand measures the simulation kernel
 (:mod:`repro.perfbench`) and emits one stable-schema JSON trajectory point;
 the committed ``BENCH_kernel.json`` tracks the history PR over PR (``--json``
-*appends* a point), ``--expect-schema`` lets CI fail on schema drift without
-failing on raw timing, and ``--compare PATH --tolerance X`` fails when
-regions/sec regresses beyond the tolerance against a recorded point.
+*appends* a point), and ``--expect-schema`` lets CI fail on schema drift
+without failing on raw timing.
 
 The ``backends`` subcommand lists the registered simulation backends
 (:mod:`repro.backends`); every ``sweep``/``bench`` invocation picks one with
@@ -53,11 +52,10 @@ Examples::
     # bound the shared trace store at 512 MB (least-recently-used eviction)
     python -m repro trace --prune 512M
 
-    # record a perf trajectory point / check a smoke run against it
+    # record a perf trajectory point / check a smoke run's schema against it
     python -m repro bench --json BENCH_kernel.json
     REPRO_BENCH_SMOKE=1 python -m repro bench --json /tmp/bench.json \\
-        --expect-schema BENCH_kernel.json --compare BENCH_kernel.json \\
-        --tolerance 0.85
+        --expect-schema BENCH_kernel.json
 
     # list the registered simulation backends / sweep on the oracle loop
     python -m repro backends
@@ -260,13 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--expect-schema", default=None, metavar="PATH",
                        help="fail (exit 1) if this run's JSON schema drifts "
                             "from the latest trajectory point at PATH")
-    bench.add_argument("--compare", default=None, metavar="PATH",
-                       help="fail (exit 1) if regions/sec regresses beyond "
-                            "--tolerance against the latest trajectory point "
-                            "at PATH")
-    bench.add_argument("--tolerance", type=float, default=0.85,
-                       help="minimum fresh/recorded regions-per-sec ratio "
-                            "for --compare (default 0.85)")
     bench.set_defaults(handler=_run_bench_command)
 
     backends = commands.add_parser(
@@ -673,10 +664,8 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 def _run_bench_command(args: argparse.Namespace) -> int:
     from repro.perfbench import (
         append_trajectory_point,
-        compare_to_reference,
         default_bench_settings,
         format_bench_report,
-        format_comparison,
         load_trajectory_point,
         run_kernel_benchmark,
         schemas_match,
@@ -720,27 +709,9 @@ def _run_bench_command(args: argparse.Namespace) -> int:
             return 1
         print(f"--expect-schema: schema matches {args.expect_schema}")
 
-    if args.compare is not None:
-        try:
-            reference = load_trajectory_point(args.compare)
-            rows = compare_to_reference(payload, reference, args.tolerance)
-        except (OSError, ValueError) as error:
-            print(f"--compare: cannot compare against {args.compare}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(format_comparison(rows, args.tolerance))
-        if not all(row["ok"] for row in rows):
-            print(
-                f"--compare: regions/sec regressed beyond tolerance "
-                f"{args.tolerance:g} of {args.compare}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"--compare: within tolerance {args.tolerance:g} of {args.compare}")
-
-    # Append last so ``--compare PATH --json PATH`` checks against the
+    # Append last so ``--expect-schema PATH --json PATH`` checks against the
     # *previous* point, not the one this run just wrote — and so a failing
-    # check never records the regressed run into the trajectory.
+    # check never records the drifted run into the trajectory.
     if args.json_out is not None:
         try:
             count = append_trajectory_point(args.json_out, payload)

@@ -269,7 +269,6 @@ class Session:
         self.trace_store = TraceStore.coerce(trace_store)
         self.retry_policy = retry_policy
         self._program: Optional[SyntheticProgram] = None
-        self._cmp: Optional[ChipMultiprocessor] = None
 
     @property
     def workload(self) -> Union[WorkloadProfile, BoundScenario]:
@@ -298,43 +297,21 @@ class Session:
 
     @property
     def cmp(self) -> ChipMultiprocessor:
-        """The CMP driver behind this session (traces cached inside)."""
-        if self._cmp is None:
-            if self.workers is None:
-                # Same memoized driver the session's sweep cells use, so
-                # run() and direct cmp access share one trace set.
-                self._cmp = cmp_driver(
-                    self.workload,
-                    self.cores,
-                    self.instructions_per_core,
-                    self.trace_seed_base,
-                    self.frontend_config,
-                    trace_store=self.trace_store,
-                    backend=self.backend,
-                )
-            elif self.scenario is not None:
-                self._cmp = ChipMultiprocessor(
-                    scenario=self.scenario,
-                    workers=self.workers,
-                    trace_store=self.trace_store,
-                    frontend_config=self.frontend_config,
-                    trace_seed_base=self.trace_seed_base,
-                    backend=self.backend,
-                )
-            else:
-                # A session-level core-parallel default is baked into the
-                # driver, which the shared memo must not carry: keep private.
-                self._cmp = ChipMultiprocessor(
-                    self.program,
-                    cores=self.cores,
-                    instructions_per_core=self.instructions_per_core,
-                    frontend_config=self.frontend_config,
-                    trace_seed_base=self.trace_seed_base,
-                    workers=self.workers,
-                    trace_store=self.trace_store,
-                    backend=self.backend,
-                )
-        return self._cmp
+        """The CMP driver behind this session (traces cached inside).
+
+        The per-process memoized driver the session's sweep cells use, so
+        :meth:`run` and direct ``cmp`` access share one trace set; every
+        access re-applies this session's backend and trace store to it.
+        """
+        return cmp_driver(
+            self.workload,
+            self.cores,
+            self.instructions_per_core,
+            self.trace_seed_base,
+            self.frontend_config,
+            trace_store=self.trace_store,
+            backend=self.backend,
+        )
 
     def run(
         self,

@@ -16,7 +16,7 @@
 * :mod:`~repro.core.area` — the storage/area model calibrated to the paper's
   CACTI numbers.
 * :class:`~repro.core.cmp.ChipMultiprocessor` — the 16-core CMP wrapper with
-  a shared SHIFT history and an opt-in parallel core runner.
+  one shared SHIFT history per co-located workload.
 """
 
 from repro.core.airbtb import AirBTB, AirBTBConfig

@@ -15,70 +15,37 @@ profile, seed and instruction budget):
   that profile replays it, exactly the paper's one-history-per-workload
   sharing (a homogeneous chip therefore has exactly one, recorded by
   core 0), and
-* cores are simulated one after another (their only interaction is through
-  the shared metadata, which is insensitive to fine-grain interleaving).
+* cores are simulated one after another in one process, recorders first
+  (their only interaction is through the shared metadata, which is
+  insensitive to fine-grain interleaving).
 
-Because replaying cores never write the shared metadata, they are
-independent given their profile's recorded history, and the driver can fan
-them out across worker processes (``workers=N``).  The parallel path
-reproduces the serial path bit for bit: the recording cores always run
-first in-process, each profile's recorded history is snapshotted into the
-workers, and every core keeps its own deterministic trace seed.  When a
-:class:`~repro.sweep.TraceStore` is attached, workers receive the trace's
-on-disk artifact *path* and mmap it — the same zero-copy discipline as the
-cell-level pool, so no pool boundary ever pickles trace columns.  The
-serial default is preserved.
+Parallelism lives one level up: :func:`repro.sweep.run_cells` fans whole
+(workload, design) cells out across its process pool, each cell running
+this driver serially.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.caches.llc import LLCConfig, SharedLLC
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import DesignSpec, design_from_spec, resolve_design
 from repro.core.frontend import FrontendConfig, FrontendResult, FrontendSimulator
 from repro.core.metrics import mpki
-from repro.faultinject import injection_point
 from repro.prefetch.shift import ShiftHistory
 from repro.registry import ensure_unique_names
-from repro.resilience import CellExecutionError
 from repro.workloads.cfg import SyntheticProgram, workload_program
 from repro.workloads.generator import generate_trace
-from repro.workloads.packed import load_packed
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.scenario import BoundScenario, CoreWorkload, Scenario
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # import cycle guard: sweep.py imports this module
-    from multiprocessing.context import BaseContext
-
     from repro.backends.base import SimBackend
     from repro.backends.batch import BatchBackend
     from repro.sweep import TraceStore
-
-#: One replaying core's pickled work order: (spec, program, inline trace,
-#: artifact path, trace name, shared-history snapshot, LLC geometry, config,
-#: simulation backend, human label).  Registered backends travel as their
-#: *name*; a stateless ad-hoc instance pickles by reference and works too.
-#: The label names the (profile, core, seed, design) so a worker failure
-#: surfaces as a :class:`~repro.resilience.CellExecutionError` that
-#: identifies the dead core instead of an anonymous worker traceback.
-_ReplayJob = Tuple[
-    DesignSpec,
-    SyntheticProgram,
-    Optional[Trace],
-    Optional[str],
-    str,
-    Dict[str, Any],
-    LLCConfig,
-    Optional[FrontendConfig],
-    Union[str, "SimBackend", None],
-    str,
-]
 
 
 @dataclass
@@ -170,57 +137,6 @@ class CMPResult:
         return self.ipc / baseline.ipc
 
 
-def _replay_core(job: _ReplayJob) -> FrontendResult:
-    """Simulate one replaying core in a worker process.
-
-    The worker rebuilds its private surroundings (LLC with the same geometry,
-    hence the same round-trip latency, plus a replay-side clone of its
-    profile's shared history); the only cross-core coupling in the serial
-    path is the recorded history and LLC statistics, and the statistics do
-    not feed back into timing, so the result is identical to the serial
-    path's.  When the trace lives in a store, the job carries its artifact
-    *path* and the worker mmaps it — all workers share one page-cache copy
-    instead of receiving pickled heap columns.
-
-    Any failure is wrapped in a :class:`CellExecutionError` naming the
-    core's (profile, core index, seed, design), so the parent never sees an
-    anonymous worker traceback.
-    """
-    (spec, program, trace, trace_path, trace_name,
-     history_state, llc_config, frontend_config, backend, label) = job
-    try:
-        injection_point("cmp:replay_core", label=label)
-        if trace is None:
-            trace = Trace.from_packed(
-                load_packed(trace_path, mmap=True), name=trace_name
-            )
-        llc = SharedLLC(llc_config)
-        shared_history = ShiftHistory.restore(history_state, llc=llc)
-        simulator, _ = design_from_spec(
-            spec,
-            program,
-            llc=llc,
-            shared_history=shared_history,
-            frontend_config=frontend_config,
-            record_history=False,
-        )
-        return simulator.run(trace, backend=backend)
-    except CellExecutionError:
-        raise
-    except Exception as error:
-        raise CellExecutionError(
-            f"replay worker for {label} failed: {type(error).__name__}: {error}"
-        ) from error
-
-
-def _fork_context() -> Optional["BaseContext"]:
-    """Prefer fork so worker processes inherit user-registered components."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        return None
-
-
 class ChipMultiprocessor:
     """Simulates ``cores`` instances of one workload — or a scenario's mix.
 
@@ -247,13 +163,10 @@ class ChipMultiprocessor:
         instructions_per_core: Optional[int] = None,
         frontend_config: Optional[FrontendConfig] = None,
         trace_seed_base: int = 100,
-        workers: Optional[int] = None,
         trace_store: Optional["TraceStore"] = None,
         scenario: Union[None, Scenario, BoundScenario] = None,
         backend: Union[str, "SimBackend", None] = None,
     ) -> None:
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive when given")
         if scenario is not None:
             if program is not None:
                 raise ValueError(
@@ -300,14 +213,12 @@ class ChipMultiprocessor:
             self._programs = {self.profile: program}
         self.frontend_config = frontend_config
         self.trace_seed_base = trace_seed_base
-        self.workers = workers
         #: Default simulation backend for every core (a registry name, a
         #: ready backend instance, or ``None`` for the stack default);
         #: :meth:`run_design` accepts a per-run override.
         self.backend = backend
         #: Optional :class:`repro.sweep.TraceStore`: per-core traces become
-        #: shared on-disk artifacts, loaded instead of re-generated — and the
-        #: core-level fan-out ships their *paths* to workers (zero-copy).
+        #: shared on-disk artifacts, loaded instead of re-generated.
         self.trace_store = trace_store
         #: How this driver's traces were obtained (observability; the sweep
         #: engine folds these into :class:`repro.sweep.SweepStats`).
@@ -317,7 +228,6 @@ class ChipMultiprocessor:
         self.traces_loaded = 0
         self.traces_mapped = 0
         self._traces: Optional[List[Trace]] = None
-        self._trace_paths: Optional[List[Optional[str]]] = None
 
     def _program_for(self, profile: WorkloadProfile) -> SyntheticProgram:
         program = self._programs.get(profile)
@@ -330,11 +240,9 @@ class ChipMultiprocessor:
         if self._traces is None:
             store = self.trace_store
             traces: List[Trace] = []
-            paths: List[Optional[str]] = []
             for core, workload in enumerate(self.workloads):
                 name = f"{workload.profile.name}/core{core}"
                 trace = None
-                path: Optional[str] = None
                 if store is not None:
                     trace = store.load(
                         workload.profile, workload.instructions, workload.seed,
@@ -344,9 +252,6 @@ class ChipMultiprocessor:
                     self.traces_loaded += 1
                     if trace.packed.mapped:
                         self.traces_mapped += 1
-                    path = str(store.path_for(
-                        workload.profile, workload.instructions, workload.seed
-                    ))
                 else:
                     trace = generate_trace(
                         self._program_for(workload.profile),
@@ -356,14 +261,12 @@ class ChipMultiprocessor:
                     )
                     self.traces_generated += 1
                     if store is not None:
-                        path = str(store.put(
+                        store.put(
                             workload.profile, workload.instructions,
                             workload.seed, trace,
-                        ))
+                        )
                 traces.append(trace)
-                paths.append(path)
             self._traces = traces
-            self._trace_paths = paths
         return self._traces
 
     def _llc_config(self) -> LLCConfig:
@@ -393,26 +296,48 @@ class ChipMultiprocessor:
             return impl
         return None
 
-    def _run_design_batched(
+    def run_design(
         self,
-        batch: "BatchBackend",
-        spec: DesignSpec,
-        llc: SharedLLC,
-        histories: Dict[WorkloadProfile, ShiftHistory],
-        recorder_set: "set[int]",
-        traces: List[Trace],
-        result: CMPResult,
-        core_results: List[Optional[FrontendResult]],
-    ) -> None:
-        """Fill ``core_results`` through the batch backend's lane path.
+        design: Union[str, DesignSpec],
+        backend: Union[str, "SimBackend", None] = None,
+    ) -> CMPResult:
+        """Run every core under ``design`` with per-profile shared histories.
 
-        All cores' simulators are built up front; when every one vectorizes,
-        co-located cores are grouped by profile (first-appearance order, the
-        same order the serial path visits them) and each group becomes one
-        ``run_lanes`` call.  A design outside the vectorized envelope runs
-        every core serially through ``run`` instead — the backend's own
-        scalar delegation — recorders first, exactly like the serial path.
+        The first core running each profile records that profile's SHIFT
+        history; every other core of the profile replays it.  ``backend``
+        (or the constructor's default) selects the simulation loop for every
+        core, recorded and replayed alike.
+
+        Cores run one after another, recorders first.  A ``batch`` backend
+        whose envelope covers every core's simulator instead groups
+        co-located cores by profile (first-appearance order) and runs each
+        group as lanes of a single
+        :meth:`~repro.backends.batch.BatchBackend.run_lanes` call — SIMD over
+        cores.  The results are identical either way.
         """
+        spec = resolve_design(design)
+        backend = backend if backend is not None else self.backend
+        llc = SharedLLC(self._llc_config())
+        traces = self._core_traces()
+        result = CMPResult(
+            design=spec.name,
+            workload=self.workload_name,
+            scenario=self.scenario.name if self.scenario is not None else None,
+            core_profiles=[workload.profile.name for workload in self.workloads],
+        )
+
+        # One shared history per profile on the chip, each virtualized in its
+        # own LLC region; the first core of each profile records it.
+        histories: Dict[WorkloadProfile, ShiftHistory] = {}
+        recorders: "set[int]" = set()
+        for index, workload in enumerate(self.workloads):
+            if workload.profile not in histories:
+                histories[workload.profile] = ShiftHistory(
+                    llc=llc,
+                    region_name=f"shift_history:{workload.profile.name}",
+                )
+                recorders.add(index)
+
         simulators: List[FrontendSimulator] = []
         for index, workload in enumerate(self.workloads):
             simulator, area = design_from_spec(
@@ -421,12 +346,17 @@ class ChipMultiprocessor:
                 llc=llc,
                 shared_history=histories[workload.profile],
                 frontend_config=self.frontend_config,
-                record_history=index in recorder_set,
+                record_history=index in recorders,
             )
             if result.area is None:
                 result.area = area
             simulators.append(simulator)
-        if all(batch.vectorizes(simulator) for simulator in simulators):
+
+        core_results: List[Optional[FrontendResult]] = [None] * self.cores
+        batch = self._batch_backend(backend)
+        if batch is not None and all(
+            batch.vectorizes(simulator) for simulator in simulators
+        ):
             groups: Dict[WorkloadProfile, List[int]] = {}
             for index, workload in enumerate(self.workloads):
                 groups.setdefault(workload.profile, []).append(index)
@@ -438,141 +368,16 @@ class ChipMultiprocessor:
                 )
                 for index, lane_result in zip(lanes, lane_results, strict=True):
                     core_results[index] = lane_result
-            return
-        # Outside the vectorized envelope (e.g. a Confluence design) the
-        # recording cores must still run before their replayers.
-        order = sorted(range(self.cores), key=lambda i: (i not in recorder_set, i))
-        for index in order:
-            core_results[index] = simulators[index].run(
-                traces[index], backend=batch
-            )
-
-    def run_design(
-        self,
-        design: Union[str, DesignSpec],
-        workers: Optional[int] = None,
-        backend: Union[str, "SimBackend", None] = None,
-    ) -> CMPResult:
-        """Run every core under ``design`` with per-profile shared histories.
-
-        The first core running each profile records that profile's SHIFT
-        history in-process; every other core of the profile replays it.
-        ``workers`` (or the constructor's default) > 1 fans the replaying
-        cores out across processes; the default stays serial and the results
-        are identical either way.  ``backend`` (or the constructor's default)
-        selects the simulation loop for every core, recorded and replayed
-        alike.
-
-        A ``batch`` backend takes precedence over ``workers``: when every
-        core's simulator vectorizes, co-located cores are grouped by profile
-        and each group runs as lanes of a single
-        :meth:`~repro.backends.batch.BatchBackend.run_lanes` call — SIMD
-        over cores instead of processes over cores.  When any core's design
-        does not vectorize, every core runs serially through the backend's
-        own per-core delegation, so the results are identical either way.
-        """
-        spec = resolve_design(design)
-        workers = workers if workers is not None else self.workers
-        backend = backend if backend is not None else self.backend
-        llc = SharedLLC(self._llc_config())
-        traces = self._core_traces()
-        paths = self._trace_paths or [None] * len(traces)
-        result = CMPResult(
-            design=spec.name,
-            workload=self.workload_name,
-            scenario=self.scenario.name if self.scenario is not None else None,
-            core_profiles=[workload.profile.name for workload in self.workloads],
-        )
-
-        # One shared history per profile on the chip, each virtualized in its
-        # own LLC region.  The first core of each profile records; it always
-        # runs first, in-process, like core 0 always has.
-        histories: Dict[WorkloadProfile, ShiftHistory] = {}
-        recorders: List[int] = []
-        replayers: List[int] = []
-        for index, workload in enumerate(self.workloads):
-            if workload.profile not in histories:
-                histories[workload.profile] = ShiftHistory(
-                    llc=llc,
-                    region_name=f"shift_history:{workload.profile.name}",
-                )
-                recorders.append(index)
-            else:
-                replayers.append(index)
-
-        core_results: List[Optional[FrontendResult]] = [None] * self.cores
-        batch = self._batch_backend(backend)
-        if batch is not None:
-            self._run_design_batched(
-                batch, spec, llc, histories, set(recorders), traces,
-                result, core_results,
-            )
-            completed = [core for core in core_results if core is not None]
-            if len(completed) != self.cores:  # pragma: no cover - defensive
-                raise RuntimeError("CMP run left a core without a result")
-            result.core_results.extend(completed)
-            return result
-
-        for index in recorders:
-            workload = self.workloads[index]
-            simulator, area = design_from_spec(
-                spec,
-                self._program_for(workload.profile),
-                llc=llc,
-                shared_history=histories[workload.profile],
-                frontend_config=self.frontend_config,
-                record_history=True,
-            )
-            if result.area is None:
-                result.area = area
-            core_results[index] = simulator.run(traces[index], backend=backend)
-
-        if replayers and workers is not None and workers > 1:
-            # Each profile's history is immutable once its recorder finishes;
-            # one snapshot per profile serves every replaying core.  Traces
-            # backed by a store artifact travel as paths, not pickled columns.
-            snapshots: Dict[WorkloadProfile, Dict[str, Any]] = {}
-            jobs = []
-            for index in replayers:
-                workload = self.workloads[index]
-                if workload.profile not in snapshots:
-                    snapshots[workload.profile] = histories[workload.profile].snapshot()
-                trace = traces[index]
-                path = paths[index]
-                jobs.append((
-                    spec,
-                    self._program_for(workload.profile),
-                    None if path is not None else trace,
-                    path,
-                    trace.name,
-                    snapshots[workload.profile],
-                    self._llc_config(),
-                    self.frontend_config,
-                    backend,
-                    f"{workload.profile.name}/core{index}"
-                    f"[seed={workload.seed}] design={spec.name}",
-                ))
-            pool_size = min(workers, len(jobs))
-            with ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=_fork_context()
-            ) as pool:
-                for index, core_result in zip(replayers, pool.map(_replay_core, jobs), strict=True):
-                    core_results[index] = core_result
         else:
-            for index in replayers:
-                workload = self.workloads[index]
-                simulator, _ = design_from_spec(
-                    spec,
-                    self._program_for(workload.profile),
-                    llc=llc,
-                    shared_history=histories[workload.profile],
-                    frontend_config=self.frontend_config,
-                    record_history=False,
+            # A recording core must finish before its profile's replayers.
+            order = sorted(range(self.cores), key=lambda i: (i not in recorders, i))
+            for index in order:
+                core_results[index] = simulators[index].run(
+                    traces[index], backend=backend
                 )
-                core_results[index] = simulator.run(traces[index], backend=backend)
 
-        # Every core index was filled (replayed or simulated inline); the
-        # comprehension narrows List[Optional[...]] for the result list.
+        # Every core index was filled above; the comprehension narrows
+        # List[Optional[...]] for the result list.
         completed = [core for core in core_results if core is not None]
         if len(completed) != self.cores:  # pragma: no cover - defensive
             raise RuntimeError("CMP run left a core without a result")
@@ -582,7 +387,6 @@ class ChipMultiprocessor:
     def run_designs(
         self,
         designs: Iterable[Union[str, DesignSpec]],
-        workers: Optional[int] = None,
         backend: Union[str, "SimBackend", None] = None,
     ) -> Dict[str, CMPResult]:
         """Run a set of design points; returns ``{design name: CMPResult}``.
@@ -594,6 +398,6 @@ class ChipMultiprocessor:
         specs = [resolve_design(design) for design in designs]
         ensure_unique_names("design", [spec.name for spec in specs])
         return {
-            spec.name: self.run_design(spec, workers=workers, backend=backend)
+            spec.name: self.run_design(spec, backend=backend)
             for spec in specs
         }

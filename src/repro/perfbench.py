@@ -7,9 +7,8 @@ and emits the numbers in a *stable* JSON schema.  ``python -m repro bench
 --json BENCH_kernel.json`` appends one trajectory point; the committed
 ``BENCH_kernel.json`` at the repo root holds the recorded history, and CI
 re-runs the benchmark at smoke scale on every push, failing on schema drift
-and on throughput regressions beyond ``--tolerance`` (timing alone never
-gates — CI machines are noisy — but a collapse past the tolerance is a real
-regression, not noise).
+(``--expect-schema``).  Throughput regressions are gated on the recorded
+points by ``python -m repro report --check`` (:mod:`repro.report.check`).
 
 The headline numbers:
 
@@ -52,13 +51,10 @@ from repro.workloads.trace import Trace
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "append_trajectory_point",
-    "compare_to_reference",
     "default_bench_settings",
     "format_bench_report",
-    "format_comparison",
     "load_trajectory",
     "load_trajectory_point",
-    "migrate_trajectory_point",
     "normalized_trajectory",
     "point_backend_rps",
     "run_kernel_benchmark",
@@ -76,8 +72,7 @@ __all__ = [
 #: (3: the ``scenario`` section — aggregate regions/sec of an 8-core
 #: homogeneous CMP on the ``scalar`` and lane-vectorized ``batch`` backends,
 #: plus ``batch_speedup_over_scalar``; unavailable backends are skipped in
-#: the per-backend table instead of crashing the bench.  Schema-1 points
-#: are migrated to schema 2 whenever the trajectory file is rewritten.)
+#: the per-backend table instead of crashing the bench.)
 BENCH_SCHEMA_VERSION = 3
 
 #: (scale, instructions, repeats) operating points: the full point is what
@@ -359,70 +354,6 @@ def schemas_match(left: object, right: object) -> bool:
     return normalize(schema_signature(left)) == normalize(schema_signature(right))
 
 
-def compare_to_reference(
-    payload: Dict[str, object],
-    reference: Dict[str, object],
-    tolerance: float,
-) -> List[Dict[str, object]]:
-    """Gate a fresh bench payload against a recorded trajectory point.
-
-    For every design the two payloads share, the fresh run's regions/sec
-    must be at least ``tolerance`` times the recorded value; a row with
-    ``ok: False`` is a regression beyond tolerance.  Works against schema-1
-    and schema-2 reference points alike (both carry per-design
-    ``regions_per_sec`` rows).  Raises :class:`ValueError` when the
-    tolerance is not in (0, inf) or the payloads share no design.
-    """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-
-    def _design_rps(point: Dict[str, object]) -> Dict[str, float]:
-        rows = point.get("designs")
-        if not isinstance(rows, list):
-            raise ValueError("bench payload has no design rows to compare")
-        return {
-            str(row["design"]): float(row["regions_per_sec"])
-            for row in rows
-            if isinstance(row, dict)
-        }
-
-    fresh = _design_rps(payload)
-    recorded = _design_rps(reference)
-    shared = [name for name in fresh if name in recorded]
-    if not shared:
-        raise ValueError(
-            "no shared designs between the fresh run "
-            f"({', '.join(sorted(fresh))}) and the reference point "
-            f"({', '.join(sorted(recorded))})"
-        )
-    rows: List[Dict[str, object]] = []
-    for name in shared:
-        ratio = fresh[name] / recorded[name] if recorded[name] else 0.0
-        rows.append({
-            "design": name,
-            "regions_per_sec": fresh[name],
-            "reference_regions_per_sec": recorded[name],
-            "ratio": ratio,
-            "ok": ratio >= tolerance,
-        })
-    return rows
-
-
-def format_comparison(
-    rows: Sequence[Dict[str, object]], tolerance: float
-) -> str:
-    """Human-readable rendering of a :func:`compare_to_reference` result."""
-    lines = [f"throughput vs recorded trajectory point (tolerance {tolerance:.2f}x):"]
-    for row in rows:
-        verdict = "ok" if row["ok"] else "REGRESSED"
-        lines.append(
-            "  {design:>16}: {regions_per_sec:>12,.0f} regions/s vs "
-            "{reference_regions_per_sec:>12,.0f} recorded "
-            "({ratio:.2f}x) {verdict}".format(verdict=verdict, **row)
-        )
-    return "\n".join(lines)
-
-
 def format_bench_report(payload: Dict[str, object]) -> str:
     """Human-readable rendering of one trajectory point."""
     lines = [
@@ -480,78 +411,42 @@ def load_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
 
     Accepts both the trajectory format (``{"bench": ..., "points": [...]}``)
     and the original single-point format (one bare payload dict).  Points
-    recorded under older schemas are returned as-is — the history keeps its
-    original shapes; only :func:`load_trajectory_point` insists on the
-    current schema.
+    come back as recorded, unchecked; :func:`load_trajectory_point` and
+    :func:`normalized_trajectory` are the schema-checking readers.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     return _trajectory_points(payload, path)
 
 
-def migrate_trajectory_point(point: Dict[str, object]) -> Dict[str, object]:
-    """Normalize a recorded point to the schema-2 field vocabulary.
-
-    Schema-1 points carry the retired ``packed_speedup`` and ``record_path``
-    fields; both map losslessly onto the schema-2 shape (the record-path row
-    *was* the reference backend's measurement, ``packed_speedup`` *was*
-    ``speedup_over_reference``, and everything ran on the then-only scalar
-    loop).  Later schemas pass through unchanged — schema 3 only *adds* the
-    ``scenario`` section, so 2 and 3 already share the compared vocabulary.
-    """
-    if point.get("schema") != 1:
-        return point
-    migrated = dict(point)
-    record_path = migrated.pop("record_path", None)
-    packed_speedup = migrated.pop("packed_speedup", 0.0)
-    config = dict(migrated.get("config", {}))  # type: ignore[arg-type]
-    config.setdefault("backend", "scalar")
-    migrated["config"] = config
-    design_rows = [
-        {**row, "backend": "scalar"}
-        for row in migrated.get("designs", ())  # type: ignore[union-attr]
-        if isinstance(row, dict)
-    ]
-    migrated["designs"] = design_rows
-    backend_rows: List[Dict[str, object]] = []
-    if isinstance(record_path, dict):
-        backend_rows.append({**record_path, "backend": "reference"})
-    if design_rows:
-        first = dict(design_rows[0])
-        first["backend"] = "scalar"
-        backend_rows.append(first)
-    migrated["backends"] = backend_rows
-    migrated["speedup_over_reference"] = packed_speedup
-    migrated["schema"] = 2
-    return migrated
+def _check_point_schema(point: Dict[str, object], path: Union[str, Path]) -> None:
+    """Refuse a point outside the supported schema range (2..current)."""
+    schema = point.get("schema")
+    if not isinstance(schema, int) or not 2 <= schema <= BENCH_SCHEMA_VERSION:
+        raise ValueError(
+            f"a point in {path} is not a known bench trajectory point "
+            f"(schema {schema!r}, supported 2..{BENCH_SCHEMA_VERSION})"
+        )
 
 
 def load_trajectory_point(path: Union[str, Path]) -> Dict[str, object]:
-    """Read the latest committed trajectory point, migrated and checked.
+    """Read the latest committed trajectory point, schema-checked.
 
-    Schema-1 points are migrated on the fly
-    (:func:`migrate_trajectory_point`); any point from schema 2 on shares
-    the compared vocabulary (per-design ``regions_per_sec`` rows) and is
-    accepted, so ``bench --compare`` works like-for-like across schema
-    versions instead of rejecting history recorded by older builds.
+    Any point from schema 2 on shares the per-design and per-backend
+    vocabulary, so ``bench --expect-schema`` accepts history recorded by
+    older builds; anything else raises :class:`ValueError`.
     """
-    latest = migrate_trajectory_point(load_trajectory(path)[-1])
-    schema = latest.get("schema")
-    if not isinstance(schema, int) or not 2 <= schema <= BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"latest point in {path} is not a known bench trajectory point "
-            f"(schema {schema!r}, supported 2..{BENCH_SCHEMA_VERSION})"
-        )
+    latest = load_trajectory(path)[-1]
+    _check_point_schema(latest, path)
     return latest
 
 
 def normalized_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Every recorded point of a trajectory file, migrated, oldest first.
+    """Every recorded point of a trajectory file, schema-checked, oldest first.
 
-    The bundle-export hook behind ``python -m repro report``: points from
-    any recorded schema come back in the schema-2+ field vocabulary
-    (:func:`migrate_trajectory_point`), so renderers and the regression gate
-    never meet the retired ``packed_speedup``/``record_path`` names.  Unlike
+    The bundle-export hook behind ``python -m repro report``: every point
+    must be schema 2 or later (:class:`ValueError` otherwise), so renderers
+    and the regression gate all read one field vocabulary.  Unlike
     :func:`load_trajectory`, an explicitly *empty* trajectory
     (``{"points": []}``) is returned as an empty list — a brand-new file is
     a legitimate "nothing recorded yet" state for a report, not corruption.
@@ -560,7 +455,10 @@ def normalized_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
         payload = json.load(handle)
     if isinstance(payload, dict) and payload.get("points") == []:
         return []
-    return [migrate_trajectory_point(point) for point in _trajectory_points(payload, path)]
+    points = _trajectory_points(payload, path)
+    for point in points:
+        _check_point_schema(point, path)
+    return points
 
 
 def point_backend_rps(point: Mapping[str, object]) -> Dict[str, float]:
@@ -614,16 +512,13 @@ def append_trajectory_point(
 
     Creates the file when missing; a pre-trajectory single-point file is
     upgraded in place (its recorded point becomes the history's first
-    entry), and recorded schema-1 points are normalized to schema 2
-    (:func:`migrate_trajectory_point`) so the retired ``packed_speedup``/
-    ``record_path`` vocabulary drops out of the history whenever the file
-    is rewritten.  The write is atomic (temp file + rename), the ``put``
-    idiom of the result cache.
+    entry).  The write is atomic (temp file + rename), the ``put`` idiom of
+    the result cache.
     """
     path = Path(path)
     points: List[Dict[str, object]] = []
     if path.exists():
-        points = [migrate_trajectory_point(point) for point in load_trajectory(path)]
+        points = load_trajectory(path)
     points.append(dict(payload))
     document = {"bench": "kernel_hotloop", "points": points}
     handle, tmp_name = tempfile.mkstemp(

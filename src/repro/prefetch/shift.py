@@ -50,7 +50,7 @@ class ShiftConfig:
     # streams per unit of unique footprint than the commercial traces, so the
     # default here is 96K entries — still virtualized in the LLC (~0.6 MB of
     # a multi-megabyte LLC) and still negligible per-core area, preserving the
-    # paper's cost story.  See EXPERIMENTS.md.
+    # paper's cost story.
 
     @property
     def history_storage_kb(self) -> float:
@@ -151,34 +151,6 @@ class ShiftHistory:
         if self.index_lookups == 0:
             return 0.0
         return self.index_hits / self.index_lookups
-
-    # ------------------------------------------------------------------ #
-    # Replay-side cloning (used by the parallel CMP runner)
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Capture the recorded state as plain, picklable data."""
-        return {
-            "config": self.config,
-            "buffer": list(self._buffer),
-            "valid": self._valid,
-            "head": self._head,
-            "index": dict(self._index),
-            "records": self.records,
-        }
-
-    @classmethod
-    def restore(
-        cls, state: Dict[str, Any], llc: Optional[SharedLLC] = None
-    ) -> "ShiftHistory":
-        """Rebuild a history from :meth:`snapshot` (e.g. in a worker process)."""
-        history = cls(config=state["config"], llc=llc)
-        history._buffer = list(state["buffer"])
-        history._valid = state["valid"]
-        history._head = state["head"]
-        history._index = dict(state["index"])
-        history.records = state["records"]
-        return history
 
 
 class _ActiveStream:

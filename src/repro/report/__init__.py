@@ -4,9 +4,9 @@ The subsystem behind ``python -m repro report`` (see ``docs/report.md``):
 
 * :mod:`repro.report.bundle` — the versioned, content-addressed
   :class:`ReportBundle` that normalizes every input into one JSON payload.
-* :mod:`repro.report.collect` — gathers ``BENCH_*.json`` trajectories (all
-  schema versions, via the bench migration), saved sweep/scenario reports,
-  and run-journal resilience counters into a bundle.
+* :mod:`repro.report.collect` — gathers ``BENCH_*.json`` trajectories
+  (schema 2 onward), saved sweep/scenario reports, and run-journal
+  resilience counters into a bundle.
 * :mod:`repro.report.render` — the pluggable renderer registry with the
   built-in self-contained HTML and CI-postable markdown renderers.
 * :mod:`repro.report.check` — the per-backend perf-regression gate CI

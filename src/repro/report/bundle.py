@@ -80,9 +80,8 @@ class ReportBundle:
     Attributes:
         title: human heading for the rendered report.
         trajectory: bench trajectory points, oldest first, every point
-            migrated to the schema-2+ field vocabulary
-            (:func:`repro.perfbench.migrate_trajectory_point`) so renderers
-            and the regression gate never see retired field names.
+            schema 2 or later (:func:`repro.perfbench.normalized_trajectory`)
+            so renderers and the regression gate read one field vocabulary.
         trajectory_sources: the trajectory files the points came from.
         sweeps: one entry per collected sweep-report file:
             ``{"source": str, "reports": {workload: RunReport dict},

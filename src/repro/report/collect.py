@@ -1,7 +1,7 @@
 """Collect run artifacts into a :class:`~repro.report.bundle.ReportBundle`.
 
 The pipeline's first stage: gather whatever evidence a run left behind —
-bench trajectory files (``BENCH_*.json``, any recorded schema), saved sweep
+bench trajectory files (``BENCH_*.json``, schema 2 onward), saved sweep
 reports (``python -m repro sweep --save-report``), run-journal directories —
 normalize all of it, and return one bundle the renderers and the regression
 gate consume.  The shape follows the artifacts→report pipelines of perf
@@ -11,9 +11,9 @@ by a later build.
 
 Normalization rules:
 
-* Trajectory points are migrated to the schema-2+ vocabulary on the way in
-  (:func:`repro.perfbench.normalized_trajectory`), so mixed schema-1/2/3
-  histories collect cleanly.
+* Trajectory points are schema-checked on the way in
+  (:func:`repro.perfbench.normalized_trajectory`): schema 2 and 3 share one
+  field vocabulary and collect side by side; an older point is refused.
 * Sweep files are read through :func:`repro.api.load_reports` (both the
   ``--save-report`` layout and redirected ``--json`` stdout); their
   :class:`~repro.sweep.SweepStats` counters are summed into the bundle's

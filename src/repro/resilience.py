@@ -1,8 +1,7 @@
 """Crash-resumable execution primitives behind the sweep scheduler.
 
-Three small, stdlib-only pieces (``sweep.py`` composes them; keeping them
-here keeps the import graph acyclic — :mod:`repro.core.cmp` raises
-:class:`CellExecutionError` too and must not import the sweep engine):
+Three small, stdlib-only pieces that ``sweep.py`` composes into its
+scheduler (kept apart so the scheduler module stays about scheduling):
 
 * :class:`RetryPolicy` — the bounded-retry / deterministic-backoff /
   cell-timeout / pool-rebuild knobs of :func:`repro.sweep.run_cells`.
@@ -33,7 +32,7 @@ __all__ = ["CellExecutionError", "RetryPolicy", "RunJournal"]
 
 
 class CellExecutionError(RuntimeError):
-    """A sweep cell (or replay core) failed; the message names it.
+    """A sweep cell failed; the message names it.
 
     Raised by pool workers around the underlying error so the parent —
     and the user's traceback — always see *which* (workload, design, seed)

@@ -19,9 +19,9 @@ The rule runs a small per-function taint analysis:
 * any tainted argument reaching an ``executor.submit(...)`` /
   ``executor.map(...)`` call is flagged.
 
-The sanctioned pattern — what :mod:`repro.core.cmp` actually does — is to
-ship artifact *paths* (or materialized traces) across the boundary and
-reopen the mmap inside the worker.
+The sanctioned pattern — what ``repro.sweep._cell_job`` actually does — is
+to ship the trace store's *directory* across the boundary and reopen each
+artifact's mmap inside the worker.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import tempfile
 import time
@@ -79,7 +80,7 @@ from typing import (
 )
 
 from repro.backends.base import BACKEND_REGISTRY, DEFAULT_BACKEND, get_backend
-from repro.core.cmp import ChipMultiprocessor, CMPResult, _fork_context
+from repro.core.cmp import ChipMultiprocessor, CMPResult
 from repro.core.designs import DesignSpec, resolve_design
 from repro.core.frontend import FrontendConfig
 from repro.faultinject import injection_point
@@ -493,15 +494,6 @@ class TraceStore:
     def _checksum_path(path: Path) -> Path:
         return path.with_name(path.name + ".sum")
 
-    def path_for(self, profile: WorkloadProfile, instructions: int, seed: int) -> Path:
-        """The artifact path for (profile, instructions, seed).
-
-        Purely computed — the artifact may or may not exist yet.  The CMP
-        driver ships these paths (never trace objects) across its core-level
-        pool boundary so workers mmap the shared page-cache copy.
-        """
-        return self._path(trace_key(profile, instructions, seed))
-
     def _quarantine(self, path: Path, reason: str) -> None:
         self.quarantined += 1
         moved = _quarantine_file(path)
@@ -839,18 +831,6 @@ def cmp_driver(
         # traces the driver has not yet materialized, and passing None
         # detaches a previously attached one (the documented "generate
         # in-process" default must not silently keep using an old store).
-        # Artifact paths recorded under a *different* store directory (or
-        # under a now-detached store) must not survive the swap: the
-        # core-level fan-out would ship workers paths into the wrong
-        # directory.  Dropping them falls back to shipping the heap traces
-        # the driver already holds.
-        old_dir = (
-            cmp_model.trace_store.directory
-            if cmp_model.trace_store is not None else None
-        )
-        new_dir = trace_store.directory if trace_store is not None else None
-        if old_dir != new_dir:
-            cmp_model._trace_paths = None
         cmp_model.trace_store = trace_store
         cmp_model.backend = backend
     return cmp_model
@@ -866,6 +846,7 @@ def _cmp_for_cell(
         cell.trace_seed_base,
         cell.frontend_config,
         trace_store=trace_store,
+        backend=cell.backend,
     )
 
 
@@ -925,21 +906,14 @@ def _cell_failure(
 _CellOutcome = Tuple[Dict[str, object], int, int, int, int]
 
 
-def simulate_cell(
-    cell: SweepCell, workers: Optional[int] = None
-) -> Dict[str, object]:
-    """Run one grid cell and return its summary.
-
-    ``workers`` (rarely needed) fans the cell's *replaying cores* out instead
-    of its siblings — used when a sweep has more workers than pending cells.
-    """
-    return _simulate_cell_counted(cell, None, workers=workers)[0]
+def simulate_cell(cell: SweepCell) -> Dict[str, object]:
+    """Run one grid cell in this process and return its summary."""
+    return _simulate_cell_counted(cell, None)[0]
 
 
 def _simulate_cell_counted(
     cell: SweepCell,
     trace_store: Optional[TraceStore],
-    workers: Optional[int] = None,
     attempt: int = 0,
 ) -> _CellOutcome:
     """Run one cell; returns (summary, traces generated, loaded, mapped,
@@ -958,7 +932,7 @@ def _simulate_cell_counted(
     loaded_before = cmp_model.traces_loaded
     mapped_before = cmp_model.traces_mapped
     quarantined_before = trace_store.quarantined if trace_store is not None else 0
-    result = cmp_model.run_design(cell.spec, workers=workers, backend=cell.backend)
+    result = cmp_model.run_design(cell.spec, backend=cell.backend)
     summary = summarize_result(result, cell.spec, cell.cores, backend=cell.backend)
     return (
         summary,
@@ -1023,7 +997,6 @@ def _attempt_cell(
     traces: Optional[TraceStore],
     stats: SweepStats,
     policy: RetryPolicy,
-    workers: Optional[int] = None,
     first_attempt: int = 0,
 ) -> _CellOutcome:
     """Run one cell in-process under the retry policy (the serial path).
@@ -1038,25 +1011,31 @@ def _attempt_cell(
             stats.retried += 1
             time.sleep(policy.delay(attempt - 1))
         try:
-            return _simulate_cell_counted(
-                cell, traces, workers=workers, attempt=attempt
-            )
+            return _simulate_cell_counted(cell, traces, attempt=attempt)
         except Exception as error:
             last_error = error
     raise _cell_failure(cell, last_error)
+
+
+def _fork_context() -> Optional["BaseContext"]:
+    """Prefer fork so pool workers inherit user-registered components."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return None
 
 
 def _run_pending_pooled(
     cells: Sequence[SweepCell],
     pending: Sequence[int],
     traces: Optional[TraceStore],
-    workers: int,
+    width: int,
     stats: SweepStats,
     policy: RetryPolicy,
     context: "BaseContext",
     complete: Callable[[int, _CellOutcome], None],
 ) -> None:
-    """Fan pending cells across a process pool, streaming completions.
+    """Fan pending cells across a ``width``-process pool, streaming completions.
 
     Per-cell futures instead of ``pool.map``: every finished cell flows
     through ``complete`` (cache + journal) the moment it lands, a failed
@@ -1068,7 +1047,6 @@ def _run_pending_pooled(
     fails merely because pooling does.
     """
     trace_dir = str(traces.directory) if traces is not None else None
-    width = min(workers, len(pending))
     attempts: Dict[int, int] = {index: 0 for index in pending}
     queue: Deque[int] = deque(pending)
     in_flight: Dict[Future[_CellOutcome], int] = {}
@@ -1220,19 +1198,12 @@ def run_cells(
 ) -> Tuple[List[Dict[str, object]], SweepStats]:
     """Satisfy every cell, from the cache when possible, else by simulating.
 
-    Cache misses get the whole ``workers`` budget at exactly one level —
-    never nested pools (forking inside forked pool workers is the classic
-    fork-with-threads deadlock hazard):
-
-    * enough pending cells to keep the pool busy — fan *cells* out across
-      processes, each cell's cores serial;
-    * few wide cells (more workers than cells, cells wider than the pool
-      they would fill) — run cells one after another, fanning each cell's
-      *replaying cores* out instead.
-
-    Both levels are bit-identical to the serial path (cells are pure
-    functions of their parameters; the core-level path is PR 1's
-    bit-identical fan-out), so the choice only affects wall-clock.
+    Cache misses fan out across one process pool of min(``workers``,
+    pending cells) processes, each cell's cores running serially inside its
+    worker; with ``workers`` unset or 1, or a single pending cell, they run
+    in this process.  Either way the results are bit-identical to the
+    serial path (cells are pure functions of their parameters), so the
+    choice only affects wall-clock.
 
     Execution is resilient (``docs/resilience.md``): every path runs under
     ``policy`` (default :class:`RetryPolicy`) — bounded retry with
@@ -1299,30 +1270,15 @@ def run_cells(
         if run_journal is not None:
             run_journal.record(keys[index], summary)
 
-    if pending:
-        if workers is not None and workers > 1:
-            context = _fork_context()
-            core_fanout = min(workers, min(cells[i].cores for i in pending))
-            if core_fanout > len(pending):
-                # e.g. a 2-design, 16-core session with workers=8: sequential
-                # cells, 8-way core fan-out each, beats a 2-wide cell pool.
-                for index in pending:
-                    complete(index, _attempt_cell(
-                        cells[index], traces, stats, policy, workers=workers
-                    ))
-            elif len(pending) > 1 and context is not None:
-                _run_pending_pooled(
-                    cells, pending, traces, workers, stats, policy, context,
-                    complete,
-                )
-            else:
-                for index in pending:
-                    complete(index, _attempt_cell(
-                        cells[index], traces, stats, policy, workers=workers
-                    ))
-        else:
-            for index in pending:
-                complete(index, _attempt_cell(cells[index], traces, stats, policy))
+    width = min(workers or 1, len(pending))
+    context = _fork_context() if width > 1 else None
+    if context is not None:
+        _run_pending_pooled(
+            cells, pending, traces, width, stats, policy, context, complete
+        )
+    else:
+        for index in pending:
+            complete(index, _attempt_cell(cells[index], traces, stats, policy))
 
     # Every index was satisfied above (cache hit, journal resume or fresh
     # simulation); the comprehension narrows List[Optional[...]] to the

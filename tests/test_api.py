@@ -1,5 +1,5 @@
 """Tests for the registry-driven design API: registries, DesignSpec,
-Session/RunReport, and the parallel CMP runner."""
+Session/RunReport, and parallel session runs."""
 
 from __future__ import annotations
 
@@ -301,32 +301,37 @@ class TestCustomComponent:
 
 
 # --------------------------------------------------------------------------- #
-# Parallel CMP runner
+# Parallel session runs and the CMP driver
 # --------------------------------------------------------------------------- #
 
 class TestParallelCMP:
+    KW = dict(profile="oltp_db2", scale=0.08, cores=3, instructions_per_core=6_000)
+
     @pytest.mark.parametrize("design", ["confluence", "2level_shift"])
-    def test_workers_bit_identical_to_serial(self, tiny_program, design):
-        serial = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=6_000
-        ).run_design(design)
-        parallel = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=6_000, workers=2
-        ).run_design(design)
-        assert parallel.core_results == serial.core_results
-        assert parallel.area == serial.area
-        assert parallel.ipc == serial.ipc
-        assert parallel.btb_taken_misses == serial.btb_taken_misses
+    def test_workers_bit_identical_to_serial(self, design):
+        # workers=2 fans the session's cells across the sweep's process pool.
+        serial = Session(**self.KW).run(["baseline", design])
+        parallel = Session(workers=2, **self.KW).run(["baseline", design])
+        assert parallel == serial
 
-    def test_workers_override_per_run(self, tiny_program):
-        cmp_model = ChipMultiprocessor(tiny_program, cores=2, instructions_per_core=5_000)
-        serial = cmp_model.run_design("baseline")
-        parallel = cmp_model.run_design("baseline", workers=2)
-        assert parallel.core_results == serial.core_results
+    def test_workers_override_per_run(self):
+        session = Session(**self.KW)
+        serial = session.run(["baseline", "fdp"])
+        parallel = session.run(["baseline", "fdp"], workers=2)
+        assert parallel == serial
 
-    def test_invalid_workers_rejected(self, tiny_program):
+    def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            ChipMultiprocessor(tiny_program, cores=2, workers=0)
+            Session(workers=0, **self.KW).run(["baseline"])
+
+    def test_run_keeps_the_session_backend_on_its_driver(self):
+        # Running cells must not reset the shared driver's default backend:
+        # direct cmp access afterwards still simulates on the session's loop.
+        session = Session(backend="reference", **self.KW)
+        driver = session.cmp
+        session.run(["baseline"])
+        assert session.cmp is driver
+        assert driver.backend == "reference"
 
     def test_run_designs_accepts_specs(self, tiny_program):
         cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)

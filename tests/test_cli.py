@@ -151,102 +151,6 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "unknown backend" in err and "scalar" in err
 
-    def test_compare_within_tolerance(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0
-        capsys.readouterr()
-        # A sub-floor tolerance can never fail: the check plumbing itself
-        # is what this pins, not the (noisy, tiny-run) throughput.
-        code = main(self.BENCH_ARGS + ["--compare", str(out),
-                                       "--tolerance", "0.000001"])
-        assert code == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_compare_fails_on_regression(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0
-        capsys.readouterr()
-        # Doctor the recorded point to claim impossible throughput; any
-        # fresh run then reads as a regression beyond tolerance.
-        trajectory = json.loads(out.read_text())
-        for row in trajectory["points"][-1]["designs"]:
-            row["regions_per_sec"] *= 1e6
-        out.write_text(json.dumps(trajectory))
-        code = main(self.BENCH_ARGS + ["--compare", str(out),
-                                       "--tolerance", "0.85"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "REGRESSED" in captured.out
-        assert "regressed beyond tolerance" in captured.err
-
-    def test_failed_compare_does_not_append(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0
-        capsys.readouterr()
-        trajectory = json.loads(out.read_text())
-        for row in trajectory["points"][-1]["designs"]:
-            row["regions_per_sec"] *= 1e6
-        out.write_text(json.dumps(trajectory))
-        code = main(self.BENCH_ARGS + ["--json", str(out),
-                                       "--compare", str(out)])
-        assert code == 1
-        # The regressed run must not have been recorded into the file.
-        assert len(json.loads(out.read_text())["points"]) == 1
-
-    @staticmethod
-    def _schema1_point():
-        # The retired schema-1 vocabulary: packed_speedup + record_path,
-        # no per-row backend, no backends table.
-        return {
-            "schema": 1, "bench": "kernel_hotloop",
-            "config": {"profile": "oltp_db2", "scale": 0.05,
-                       "instructions": 2000, "seed": 3,
-                       "designs": ["baseline"], "repeats": 1},
-            "trace": {"regions": 100, "instructions": 2000,
-                      "artifact_bytes": 1, "mapped": True},
-            "stages": {"generate_s": 0.1, "save_s": 0.1, "load_s": 0.1},
-            "designs": [{"design": "baseline", "seconds": 0.5,
-                         "regions_per_sec": 200.0, "ipc": 0.7}],
-            "packed_speedup": 1.5,
-            "record_path": {"design": "baseline", "seconds": 0.75,
-                            "regions_per_sec": 133.0, "ipc": 0.7},
-            "peak_rss_kb": 1000,
-            "host": {"python": "3.11", "platform": "linux",
-                     "machine": "x86_64"},
-        }
-
-    def test_compare_works_against_a_schema1_point(self, tmp_path, capsys):
-        # The satellite bugfix: old points compare like-for-like on their
-        # per-design regions/sec rows instead of KeyErroring.
-        out = tmp_path / "bench.json"
-        out.write_text(json.dumps(
-            {"bench": "kernel_hotloop", "points": [self._schema1_point()]}
-        ))
-        code = main(self.BENCH_ARGS + ["--compare", str(out),
-                                       "--tolerance", "0.000001"])
-        assert code == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_append_migrates_the_schema1_seed_point(self, tmp_path, capsys):
-        from repro.perfbench import BENCH_SCHEMA_VERSION
-
-        out = tmp_path / "bench.json"
-        out.write_text(json.dumps(
-            {"bench": "kernel_hotloop", "points": [self._schema1_point()]}
-        ))
-        assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0
-        capsys.readouterr()
-        points = json.loads(out.read_text())["points"]
-        assert [point["schema"] for point in points] == [2, BENCH_SCHEMA_VERSION]
-        migrated = points[0]
-        assert "packed_speedup" not in migrated
-        assert "record_path" not in migrated
-        assert migrated["speedup_over_reference"] == 1.5
-        assert migrated["config"]["backend"] == "scalar"
-        assert [row["backend"] for row in migrated["designs"]] == ["scalar"]
-        assert {row["backend"] for row in migrated["backends"]} \
-            == {"reference", "scalar"}
-
     def test_expect_schema_accepts_an_equivalent_run(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0

@@ -1,13 +1,15 @@
 """Documentation integrity: intra-repo links resolve, CLI examples are real.
 
-Two drift guards, both cheap enough for tier-1:
+Three drift guards, all cheap enough for tier-1:
 
 * every relative markdown link (and same-file anchor) in the repo's
   documentation points at something that exists — CI's docs job runs this
   file, so a renamed doc or dropped heading fails the build;
 * every ``--flag`` used in a documented ``python -m repro <cmd>`` example
   is a real option of that subcommand's parser — the docs cannot describe
-  a CLI that no longer exists.
+  a CLI that no longer exists;
+* every markdown file a Python source names (a docstring's "see
+  docs/resilience.md") exists — code cannot point readers at a missing doc.
 """
 
 from __future__ import annotations
@@ -107,3 +109,37 @@ def test_documented_cli_examples_use_real_flags():
         elif flag not in known[sub]:
             stale.append(f"{doc}: 'repro {sub}' has no flag {flag}")
     assert not stale, f"documentation drifted from the CLI: {stale}"
+
+
+#: Python sources whose markdown references must resolve.
+CODE_DIRS = ("src", "tests", "benchmarks", "examples")
+
+_MD_REFERENCE = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
+
+
+def _repo_markdown_names() -> set:
+    return {
+        path.name
+        for path in REPO_ROOT.rglob("*.md")
+        if ".git" not in path.relative_to(REPO_ROOT).parts
+    }
+
+
+def test_markdown_files_named_in_code_exist():
+    """A ``.md`` path in a source file resolves from the repo root or from
+    the file's own directory; a bare file name must name a file somewhere
+    in the repo."""
+    names = _repo_markdown_names()
+    missing = []
+    for directory in CODE_DIRS:
+        for source in sorted((REPO_ROOT / directory).rglob("*.py")):
+            text = source.read_text(encoding="utf-8")
+            for reference in _MD_REFERENCE.findall(text):
+                if (REPO_ROOT / reference).is_file():
+                    continue
+                if (source.parent / reference).is_file():
+                    continue
+                if "/" not in reference and reference in names:
+                    continue
+                missing.append(f"{source.relative_to(REPO_ROOT)}: {reference}")
+    assert not missing, f"source files name missing markdown files: {missing}"

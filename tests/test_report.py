@@ -36,25 +36,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 # --------------------------------------------------------------------------- #
-# Fixture payloads: one trajectory point per recorded schema version
+# Fixture payloads: one trajectory point per supported schema version
 # --------------------------------------------------------------------------- #
-
-def _schema1_point() -> dict:
-    """A point as the original bench layout recorded it."""
-    return {
-        "schema": 1,
-        "bench": "kernel_hotloop",
-        "config": {"profile": "oltp_db2", "scale": 0.1, "instructions": 20000,
-                   "seed": 3, "repeats": 2},
-        "designs": [
-            {"design": "baseline", "regions_per_sec": 50_000.0, "ipc": 0.70},
-            {"design": "confluence", "regions_per_sec": 30_000.0, "ipc": 0.74},
-        ],
-        "record_path": {"design": "baseline", "regions_per_sec": 20_000.0,
-                        "ipc": 0.70},
-        "packed_speedup": 2.5,
-    }
-
 
 def _schema2_point(scale: float = 1.0) -> dict:
     return {
@@ -132,7 +115,7 @@ def _fixture_bundle(tmp_path: Path) -> ReportBundle:
     """
     _write_trajectory(
         tmp_path / "bench.json",
-        [_schema1_point(), _schema2_point(), _schema3_point(0.9)],
+        [_schema2_point(), _schema3_point(0.9)],
     )
     save_reports(
         tmp_path / "sweep.report.json",
@@ -157,22 +140,17 @@ def _fixture_bundle(tmp_path: Path) -> ReportBundle:
 class TestCollect:
     def test_mixed_schema_points_normalize_to_one_vocabulary(self, tmp_path):
         bench = _write_trajectory(
-            tmp_path / "bench.json",
-            [_schema1_point(), _schema2_point(), _schema3_point()],
+            tmp_path / "bench.json", [_schema2_point(), _schema3_point()]
         )
         bundle = collect_bundle(bench_paths=[bench])
-        assert len(bundle.trajectory) == 3
-        # The schema-1 point was migrated: retired names gone, backends table
-        # synthesized from the record-path row + the scalar design row.
-        first = bundle.trajectory[0]
-        assert first["schema"] == 2
-        assert "packed_speedup" not in first and "record_path" not in first
-        backends = {row["backend"] for row in first["backends"]}
-        assert backends == {"reference", "scalar"}
-        assert first["speedup_over_reference"] == 2.5
-        # Schema 2/3 pass through untouched.
-        assert bundle.trajectory[1] == _schema2_point()
-        assert bundle.trajectory[2] == _schema3_point()
+        # Schema 2 and 3 share one vocabulary and pass through untouched.
+        assert bundle.trajectory == [_schema2_point(), _schema3_point()]
+        # A point older than schema 2 is refused, not silently rendered.
+        old = _write_trajectory(
+            tmp_path / "old.json", [{"schema": 1, "bench": "kernel_hotloop"}]
+        )
+        with pytest.raises(ValueError, match="not a known bench trajectory point"):
+            collect_bundle(bench_paths=[old])
 
     def test_empty_trajectory_collects_as_zero_points(self, tmp_path):
         bench = _write_trajectory(tmp_path / "empty.json", [])

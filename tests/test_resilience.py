@@ -13,8 +13,6 @@ import json
 
 import pytest
 
-from repro.core.cmp import ChipMultiprocessor
-from repro.core.designs import resolve_design
 from repro.faultinject import FaultPlan, FaultRule, active, flip_bits, truncate_file
 from repro.resilience import (
     JOURNAL_SCHEMA_VERSION,
@@ -29,7 +27,7 @@ from repro.sweep import (
     clear_workload_memo,
     run_sweep,
 )
-from repro.workloads import get_profile, workload_program
+from repro.workloads import get_profile
 
 PROFILES = ["oltp_db2", "dss_qry2"]
 DESIGNS = ["baseline", "confluence"]
@@ -383,19 +381,3 @@ class TestRunJournal:
         foreign = RunJournal("/tmp/nowhere", ["not-a-cell-key"])
         with pytest.raises(ValueError, match="different cell-key set"):
             run_sweep(PROFILES, DESIGNS, **GRID_KW, cache=False, journal=foreign)
-
-
-class TestReplayCoreWrapping:
-    def test_replay_worker_failure_names_the_core(self):
-        profile = get_profile("oltp_db2").scaled(0.08)
-        cmp_model = ChipMultiprocessor(
-            workload_program(profile), cores=2, instructions_per_core=4_000
-        )
-        plan = FaultPlan()
-        plan.fail("cmp:replay_core", error=RuntimeError("vanished"))
-        with active(plan):
-            with pytest.raises(
-                CellExecutionError,
-                match=r"replay worker for oltp_db2.*/core1.*failed",
-            ):
-                cmp_model.run_design(resolve_design("baseline"), workers=2)

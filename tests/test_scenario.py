@@ -1,5 +1,5 @@
 """Tests for consolidation scenarios: the spec, the heterogeneous CMP,
-the sweep integration and the zero-copy core fan-out.
+the sweep integration and store-backed per-core traces.
 
 The two load-bearing pins:
 
@@ -19,7 +19,7 @@ import dataclasses
 import pytest
 
 from repro.api import Session, run_grid
-from repro.core.cmp import ChipMultiprocessor, _replay_core
+from repro.core.cmp import ChipMultiprocessor
 from repro.sweep import SweepCell, TraceStore, clear_workload_memo, run_sweep
 from repro.workloads import get_profile, workload_program
 from repro.workloads.scenario import (
@@ -250,13 +250,6 @@ class TestHeterogeneousExecution:
         assert sum(group["cycles"] for group in breakdown.values()) \
             == result.cycles
 
-    def test_parallel_fanout_is_bit_identical(self, mixed):
-        serial = ChipMultiprocessor(scenario=mixed).run_design("confluence")
-        parallel = ChipMultiprocessor(scenario=mixed).run_design(
-            "confluence", workers=2
-        )
-        assert parallel.core_results == serial.core_results
-
     def test_scenario_and_program_are_mutually_exclusive(self, tiny_program, mixed):
         with pytest.raises(ValueError, match="not both"):
             ChipMultiprocessor(tiny_program, scenario=mixed)
@@ -264,60 +257,26 @@ class TestHeterogeneousExecution:
             ChipMultiprocessor()
 
 
-class TestZeroCopyCoreFanout:
-    """Workers receive trace-store artifact paths, never pickled columns."""
+class TestStoreBackedTraces:
+    """Per-core traces served from the trace store match generated ones."""
 
-    def test_store_backed_traces_ship_as_paths(self, tmp_path):
+    def test_warm_store_maps_every_core_trace(self, tmp_path):
         bound = get_scenario("consolidated_oltp_dss").bind(
             cores=4, scale=SCALE, instructions_per_core=INSTRUCTIONS
         )
         store = TraceStore(tmp_path / "traces")
         cold = ChipMultiprocessor(scenario=bound, trace_store=store)
-        serial = cold.run_design("baseline")
-        assert cold._trace_paths is not None
-        assert all(path is not None for path in cold._trace_paths)
+        generated = cold.run_design("baseline")
+        assert cold.traces_generated == 4
 
         warm = ChipMultiprocessor(scenario=bound, trace_store=store)
-        parallel = warm.run_design("baseline", workers=2)
+        mapped = warm.run_design("baseline")
         assert warm.traces_loaded == 4 and warm.traces_mapped == 4
-        assert parallel.core_results == serial.core_results
+        assert mapped.core_results == generated.core_results
 
-    def test_replay_worker_maps_the_artifact(self, tmp_path, tiny_program):
-        """_replay_core with (path, no trace) equals the in-process result."""
-        store = TraceStore(tmp_path / "traces")
-        cmp_model = ChipMultiprocessor(
-            tiny_program, cores=2, instructions_per_core=INSTRUCTIONS,
-            trace_store=store,
-        )
-        serial = cmp_model.run_design("baseline")
-        from repro.core.designs import resolve_design
-        from repro.prefetch.shift import ShiftHistory
-        from repro.caches.llc import SharedLLC
-
-        llc = SharedLLC(cmp_model._llc_config())
-        history = ShiftHistory(llc=llc)
-        # Replays core 1 from its on-disk artifact, exactly as a pool worker
-        # does; the recorded history is empty on the baseline design (no
-        # SHIFT), so an empty snapshot reproduces the serial replay.
-        job = (
-            resolve_design("baseline"),
-            tiny_program,
-            None,
-            cmp_model._trace_paths[1],
-            cmp_model._core_traces()[1].name,
-            history.snapshot(),
-            cmp_model._llc_config(),
-            None,
-            None,
-            "test/core1",
-        )
-        assert _replay_core(job) == serial.core_results[1]
-
-    def test_detaching_the_store_drops_stale_artifact_paths(self, tmp_path):
-        # A memoized driver that recorded artifact paths under one store must
-        # not keep shipping them to workers after the store is detached (or
-        # swapped to another directory): the paths may no longer exist, and
-        # the driver holds perfectly good heap traces.
+    def test_detaching_the_store_keeps_heap_traces(self, tmp_path):
+        # A memoized driver whose store is detached keeps serving the heap
+        # traces it already holds, even once the old artifacts are gone.
         from repro.sweep import cmp_driver
 
         clear_workload_memo()
@@ -325,25 +284,14 @@ class TestZeroCopyCoreFanout:
         store = TraceStore(tmp_path / "traces")
         attached = cmp_driver(profile, 2, INSTRUCTIONS, trace_store=store)
         with_store = attached.run_design("baseline")
-        assert attached._trace_paths and all(attached._trace_paths)
 
         detached = cmp_driver(profile, 2, INSTRUCTIONS, trace_store=None)
         assert detached is attached
-        assert detached._trace_paths is None
-        store.prune(0)  # the old artifacts are gone; heap traces must serve
-        without_store = detached.run_design("baseline", workers=2)
+        assert detached.trace_store is None
+        store.prune(0)
+        without_store = detached.run_design("baseline")
         assert without_store.core_results == with_store.core_results
         clear_workload_memo()
-
-    def test_without_a_store_traces_still_travel(self, tiny_program):
-        cmp_model = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=INSTRUCTIONS
-        )
-        serial = cmp_model.run_design("baseline")
-        parallel = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=INSTRUCTIONS
-        ).run_design("baseline", workers=2)
-        assert parallel.core_results == serial.core_results
 
 
 class TestScenarioSweeps:

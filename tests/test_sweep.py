@@ -462,9 +462,9 @@ class TestSweepParityAndCache:
         parallel = run_grid(PROFILES, DESIGNS, workers=4, **GRID_KW)
         assert parallel == serial_reports
 
-    def test_core_level_budget_identical_to_serial(self):
-        # More workers than cells and cells wider than the pool they would
-        # fill: the budget goes to each cell's core-level fan-out instead.
+    def test_more_workers_than_cells_identical_to_serial(self):
+        # More workers than pending cells: the pool is only as wide as the
+        # cells it has to run, and each cell's cores stay serial.
         kw = dict(scale=0.08, cores=3, instructions_per_core=5_000)
         serial = run_grid(["oltp_db2"], DESIGNS, **kw)
         boosted = run_grid(["oltp_db2"], DESIGNS, workers=8, **kw)
