@@ -34,7 +34,10 @@ def test_kernel_hotloop(benchmark, bench_scale, bench_instructions,
             instructions=instructions,
             seed=3,
             designs=DESIGNS,
-            repeats=1,
+            # Best-of-3, as at the recorded full operating point: the 1.5x
+            # gate below is a ratio of two timings, and with a single run of
+            # each side one scheduler hiccup can decide it.
+            repeats=3,
         ),
         rounds=1,
         iterations=1,

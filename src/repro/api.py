@@ -27,8 +27,6 @@ simulator objects alive.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -44,6 +42,7 @@ from repro.sweep import (
     SweepCell,
     SweepOutcome,
     TraceStore,
+    _atomic_write_text,
     cmp_driver,
     run_cells,
     run_sweep,
@@ -444,20 +443,7 @@ def save_reports(
         "stats": dict(stats) if stats is not None else {},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            json.dump(payload, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

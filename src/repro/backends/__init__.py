@@ -2,10 +2,10 @@
 
 One frontend model, several interchangeable simulation loops.  The
 ``scalar`` backend is the zero-allocation columnar hot loop used everywhere
-by default; ``reference`` is the record-view oracle it is pinned against.
-Additional backends (a numpy lockstep loop, a numba/Cython kernel) register
-here and are immediately covered by the parity suite, the sweep cache key
-and the ``python -m repro bench`` per-backend report.
+by default; ``reference`` is the record-view oracle it is pinned against;
+``batch`` runs several cores as vectorized lanes.  A backend registered here
+(built-in or user code) is immediately covered by the parity suite, the
+sweep cache key and the ``python -m repro bench`` per-backend report.
 
 Importing this package imports every built-in backend module so its
 registration decorator runs (staticcheck rule R005 pins this wiring).

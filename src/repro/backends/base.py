@@ -13,9 +13,9 @@ Backends mirror the component-registry idiom of :mod:`repro.registry`::
 
     from repro.backends import BACKEND_REGISTRY, SimBackend
 
-    @BACKEND_REGISTRY.register("lockstep_numpy")
+    @BACKEND_REGISTRY.register("lockstep")
     class LockstepBackend(SimBackend):
-        name = "lockstep_numpy"
+        name = "lockstep"
         trace_form = "columnar (.packed)"
 
         def consumes(self, trace): ...
@@ -25,8 +25,8 @@ Built-in backends:
 
 * ``scalar`` — the zero-allocation columnar hot loop (the default),
 * ``reference`` — the record-view oracle loop, kept as the parity oracle,
-* ``batch`` — numpy lane-vectorized lockstep loop (needs numpy; registers
-  unavailable otherwise).
+* ``batch`` — the lane-vectorized lockstep loop (its array dependency is
+  optional: without it the backend registers unavailable).
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class SimBackend(abc.ABC):
     def available(self) -> bool:
         """Whether this backend can run in the current environment.
 
-        Backends with optional dependencies (the ``batch`` backend needs
-        numpy) override this; they still *register* unconditionally so
+        Backends with optional dependencies (the ``batch`` backend's array
+        library) override this; they still *register* unconditionally so
         ``python -m repro backends`` can list them with an annotation
         instead of crashing, but :meth:`run` raises a clear
         :class:`ValueError` when invoked unavailable.

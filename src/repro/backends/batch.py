@@ -26,9 +26,13 @@ failure mid-run leaves the simulator untouched.  The ``scalar`` backend is
 the bit-exact oracle: for any simulator where :meth:`BatchBackend.vectorizes`
 is False, :meth:`BatchBackend.run` simply delegates to it.
 
-This backend needs numpy.  It registers unconditionally so
-``python -m repro backends`` can list it with an annotation, but running it
-without numpy raises the uniform :func:`repro._np.require_numpy` error.
+This backend needs numpy, and it is the only module in the library that
+imports it: not at import time, but when :func:`get_backend` first builds
+a :class:`BatchBackend`, so ``import repro`` and every other backend never
+load numpy, while a batch sweep still loads it once in the parent before the
+pool forks.  The backend registers unconditionally so ``python -m repro
+backends`` can list it with an annotation; running it without numpy raises
+a :class:`ValueError` naming the missing dependency.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
-from repro._np import np, require_numpy
 from repro.backends.base import BACKEND_REGISTRY, SimBackend, get_backend
 from repro.branch.btb_base import BTBEntry
 from repro.branch.btb_conventional import ConventionalBTB
@@ -55,6 +58,10 @@ from repro.workloads.packed import KIND_CODES, NO_VALUE
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.frontend import FrontendSimulator
     from repro.workloads.trace import Trace
+
+#: The numpy module, bound by the first :class:`BatchBackend` built with
+#: numpy installed; every pass below runs only after that.
+np: Any = None
 
 #: Branch-kind codes the passes test against (indices into KIND_CODES).
 _CODE_CONDITIONAL = 0
@@ -864,13 +871,31 @@ class BatchBackend(SimBackend):
     name = "batch"
     trace_form = "columnar (.packed)"
 
+    def __init__(self) -> None:
+        global np
+        try:
+            import numpy
+        except ImportError:
+            self._has_numpy = False
+        else:
+            np = numpy
+            self._has_numpy = True
+
     def available(self) -> bool:
-        return np is not None
+        return self._has_numpy
 
     def unavailable_reason(self) -> Optional[str]:
-        if np is not None:
+        if self._has_numpy:
             return None
         return "numpy is not installed"
+
+    def _require_numpy(self) -> None:
+        if not self._has_numpy:
+            raise ValueError(
+                "the 'batch' simulation backend requires numpy, which is not "
+                "installed; install numpy or pick a pure-python alternative "
+                "(e.g. the default 'scalar' simulation backend)"
+            )
 
     def consumes(self, trace: "Trace") -> bool:
         return getattr(trace, "packed", None) is not None
@@ -883,7 +908,7 @@ class BatchBackend(SimBackend):
         integer-valued base CPI (so vectorized summation stays exact) and no
         L1-I fill listeners.  Anything else delegates to ``scalar``.
         """
-        if np is None:
+        if not self._has_numpy:
             return False
         bpu = simulator.bpu
         return (
@@ -905,7 +930,7 @@ class BatchBackend(SimBackend):
     def run(
         self, simulator: "FrontendSimulator", trace: "Trace", warmup: float
     ) -> FrontendResult:
-        require_numpy("the 'batch' simulation backend")
+        self._require_numpy()
         if not self.vectorizes(simulator):
             # The scalar oracle handles every component combination; results
             # are identical by the parity suite, only the speed differs.
@@ -924,7 +949,7 @@ class BatchBackend(SimBackend):
         designs group the vectorizable ones and run the rest via
         :meth:`run`'s scalar delegation.
         """
-        require_numpy("the 'batch' simulation backend")
+        self._require_numpy()
         if not (len(simulators) == len(traces) == len(warmups)):
             raise ValueError(
                 f"run_lanes needs matching lane sequences, got "

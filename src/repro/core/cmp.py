@@ -282,9 +282,9 @@ class ChipMultiprocessor:
 
         Only an explicit ``backend=`` selection (per-run or constructor)
         engages the lane-grouped dispatch; ``None`` keeps the per-simulator
-        default path untouched.  An unavailable batch backend (numpy not
-        installed) also returns ``None`` here — the per-core path then
-        surfaces its uniform :class:`ValueError` on the first ``run``.
+        default path untouched.  An unavailable batch backend also returns
+        ``None`` here — the per-core path then surfaces its uniform
+        :class:`ValueError` on the first ``run``.
         """
         if backend is None:
             return None

@@ -44,6 +44,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.backends.base import DEFAULT_BACKEND, backend_names, get_backend
 from repro.core.designs import design_from_spec, resolve_design
 from repro.core.frontend import FrontendResult, FrontendSimulator
+from repro.sweep import _atomic_write_text
 from repro.workloads import generate_trace, get_profile, synthesize_program
 from repro.workloads.packed import load_packed
 from repro.workloads.trace import Trace
@@ -123,9 +124,9 @@ def _scenario_benchmark(
     for: the same chip driven by ``scalar`` (one core at a time) and by
     ``batch`` (all co-located cores as lanes of one vectorized call).
     Traces are generated *before* timing so both sides measure pure
-    simulation; best-of-``repeats`` on each side.  When numpy is absent the
-    batch columns record 0.0 and ``batch_available`` is ``False`` — the
-    schema stays stable either way.
+    simulation; best-of-``repeats`` on each side.  When ``batch`` is
+    unavailable the batch columns record 0.0 and ``batch_available`` is
+    ``False`` — the schema stays stable either way.
     """
     from repro.core.cmp import ChipMultiprocessor
 
@@ -258,13 +259,22 @@ def run_kernel_benchmark(
     # Every *available* registered backend drives the first design: the
     # per-backend regions/sec table is what makes a new backend's
     # cost/benefit visible the moment it registers.  A backend missing its
-    # optional dependency (``batch`` without numpy) is skipped, not fatal.
+    # optional dependency (an unavailable ``batch``) is skipped, not fatal.
+    # The backends take turns within each repeat, so a slow stretch of the
+    # host lands on every side of ``speedup_over_reference`` alike rather
+    # than on one backend's whole block of repeats.
+    available = [name for name in backend_names() if get_backend(name).available()]
+    best: Dict[str, Tuple[float, FrontendResult]] = {}
+    for _ in range(repeats):
+        for name in available:
+            simulator, _ = design_from_spec(resolve_design(specs[0].name), program)
+            result, elapsed = _time_run(simulator, bench_trace, name)
+            if name not in best or elapsed < best[name][0]:
+                best[name] = (elapsed, result)
     backend_rows: List[Dict[str, object]] = []
     per_backend_rps: Dict[str, float] = {}
-    for name in backend_names():
-        if not get_backend(name).available():
-            continue
-        best_s, result = _best_of(specs[0].name, name)
+    for name in available:
+        best_s, result = best[name]
         rps = regions / best_s if best_s else 0.0
         per_backend_rps[name] = rps
         backend_rows.append({
@@ -385,7 +395,7 @@ def format_bench_report(payload: Dict[str, object]) -> str:
                 "({batch_speedup_over_scalar:.2f}x over scalar)".format(**scenario)
             )
         else:
-            lines.append("    batch backend unavailable (numpy not installed)")
+            lines.append("    batch backend unavailable (see `python -m repro backends`)")
     lines.append(
         "  speedup over reference backend: "
         f"{payload['speedup_over_reference']:.2f}x"
@@ -490,7 +500,7 @@ def trajectory_backend_series(
 
     Returns ``{backend: [rps or None per point]}`` with one slot per input
     point — ``None`` where that point did not measure the backend (e.g. the
-    ``batch`` backend before PR 8, or a no-numpy host).  This is the series
+    ``batch`` backend on a host where it is unavailable).  This is the series
     the report's trend chart draws, one line per backend.
     """
     per_point = [point_backend_rps(point) for point in points]
@@ -521,19 +531,5 @@ def append_trajectory_point(
         points = load_trajectory(path)
     points.append(dict(payload))
     document = {"bench": "kernel_hotloop", "points": points}
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) if str(path.parent) else ".",
-        prefix=".tmp-", suffix=".json",
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            json.dump(document, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     return len(points)

@@ -29,13 +29,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.sweep import CorruptArtifactWarning, default_cache_dir
+from repro.sweep import (
+    CorruptArtifactWarning,
+    _atomic_write_text,
+    _quarantine_file,
+    default_cache_dir,
+)
 
 __all__ = [
     "REPORT_SCHEMA_VERSION",
@@ -168,32 +172,13 @@ class ReportBundle:
         ).hexdigest()
         document = {"checksum": checksum, "payload": payload}
         path = target_dir / f"{digest}.bundle.json"
-        handle, tmp_name = tempfile.mkstemp(
-            dir=target_dir, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(document, tmp, indent=2, sort_keys=True)
-                tmp.write("\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        _atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
         return path
 
 
 def _quarantine(path: Path, reason: str) -> None:
     """Move a corrupt bundle aside and warn — the stores' shared discipline."""
-    target = path.with_name(path.name + ".corrupt")
-    moved: Optional[Path]
-    try:
-        os.replace(path, target)
-        moved = target
-    except OSError:
-        moved = None
+    moved = _quarantine_file(path)
     where = f" (moved to {moved.name})" if moved is not None else ""
     warnings.warn(
         f"quarantined corrupt report bundle {path.name}: {reason}{where}",

@@ -63,8 +63,9 @@ _CONTAINER_BUILTINS = frozenset(
      "object", "deque", "defaultdict", "Counter", "OrderedDict"}
 )
 
-#: Names the numpy module travels under; ``repro._np`` re-exports it as
-#: ``np``, and vectorized kernels conventionally alias it the same way.
+#: Names the numpy module conventionally travels under (the ``batch``
+#: backend binds it as ``np``); ``_np`` stays for modules that alias it
+#: privately.
 _NUMPY_MODULES = frozenset({"np", "numpy", "_np"})
 
 

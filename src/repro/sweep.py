@@ -76,6 +76,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -199,6 +200,38 @@ def _file_sha256(path: Union[str, Path]) -> str:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+_T = TypeVar("_T")
+
+
+def _atomic_write(path: Path, fill: Callable[[str], _T]) -> _T:
+    """Create or replace ``path`` atomically; returns what ``fill`` returned.
+
+    ``fill(tmp_name)`` writes the content to a ``.tmp-`` file beside
+    ``path`` (same directory, so the rename never crosses filesystems, and
+    the prefix keeps store scans off it); one ``os.replace`` then publishes
+    it, and a failure anywhere unlinks the temp file instead.
+    """
+    handle, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    os.close(handle)
+    try:
+        result = fill(tmp_name)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return result
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    """:func:`_atomic_write` of a UTF-8 text file."""
+    _atomic_write(
+        path, lambda tmp_name: Path(tmp_name).write_text(text, encoding="utf-8")
+    )
 
 
 def _quarantine_file(path: Path) -> Optional[Path]:
@@ -389,18 +422,9 @@ class ResultCache:
             "summary": summary,
             "checksum": _summary_checksum(summary),
         }
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(payload, tmp, sort_keys=True)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return self._path(key)
+        path = self._path(key)
+        _atomic_write_text(path, json.dumps(payload, sort_keys=True))
+        return path
 
 
 # --------------------------------------------------------------------------- #
@@ -564,30 +588,15 @@ class TraceStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         key = trace_key(profile, instructions, seed)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".trace"
-        )
-        os.close(handle)
-        try:
+
+        def save(tmp_name: str) -> str:
             trace.packed.save(tmp_name)
-            digest = _file_sha256(tmp_name)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        sum_handle, sum_tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".sum"
-        )
-        try:
-            with os.fdopen(sum_handle, "w", encoding="utf-8") as tmp:
-                tmp.write(digest + "\n")
-            os.replace(sum_tmp, self._checksum_path(self._path(key)))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(sum_tmp)
-            raise
-        return self._path(key)
+            return _file_sha256(tmp_name)
+
+        path = self._path(key)
+        digest = _atomic_write(path, save)
+        _atomic_write_text(self._checksum_path(path), digest + "\n")
+        return path
 
     def prune(self, max_bytes: int) -> Tuple[int, int]:
         """Size-bounded LRU sweep: evict cold artifacts until the store fits.

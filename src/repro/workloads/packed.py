@@ -37,10 +37,9 @@ the same page-cache pages instead of each holding a private heap copy.
 Mapped traces behave identically (the parity suite pins it); pickling one
 (e.g. handing it to a worker process) materializes heap arrays.
 
-``numpy`` is optional: when present it accelerates the
-:attr:`PackedTrace.instruction_count` and :meth:`PackedTrace.statistics_tuple`
-reductions; the pure-``array`` walks (:meth:`PackedTrace.fold_statistics`)
-remain the behavioral reference, and the test suite asserts the two agree.
+The reductions (:attr:`PackedTrace.instruction_count`,
+:meth:`PackedTrace.statistics_tuple`) are plain walks over the ``array``
+columns; the test suite checks them against an independent record walk.
 """
 
 from __future__ import annotations
@@ -74,10 +73,6 @@ from repro.isa.instruction import (
 
 if TYPE_CHECKING:  # import cycle guard: trace.py imports this module
     from repro.workloads.trace import FetchRecord
-
-# Optional-numpy dance lives in one place; ``_np`` is None when absent and
-# the array path below is the reference.
-from repro._np import np as _np
 
 __all__ = [
     "KIND_CODES",
@@ -241,12 +236,7 @@ class PackedTrace:
     @property
     def instruction_count(self) -> int:
         if self._instruction_count is None:
-            if _np is not None:
-                self._instruction_count = int(
-                    _np.frombuffer(self.instruction_counts, dtype=_np.int32).sum()
-                ) if len(self.instruction_counts) else 0
-            else:
-                self._instruction_count = sum(self.instruction_counts)
+            self._instruction_count = sum(self.instruction_counts)
         return self._instruction_count
 
     def region_blocks(self, index: int) -> Tuple[int, ...]:
@@ -343,69 +333,12 @@ class PackedTrace:
         unique_blocks, unique_taken_branches)``;
         :meth:`repro.workloads.trace.Trace.statistics` wraps it in a
         :class:`~repro.workloads.trace.TraceStatistics`.
-
-        With numpy available the pass is vectorized;
-        :meth:`statistics_tuple_reference` keeps the pure-``array`` loop as
-        the behavioral reference, and the test suite asserts the two agree.
         """
-        if _np is not None and len(self):
-            return self._statistics_tuple_numpy()
-        return self.statistics_tuple_reference()
-
-    def statistics_tuple_reference(self) -> Tuple[int, ...]:
-        """The pure-``array`` statistics pass (the vectorized path's oracle)."""
         counters = [0] * 9
         blocks: Set[int] = set()
         taken_pcs: Set[int] = set()
         self.fold_statistics(counters, blocks, taken_pcs)
         return tuple(counters) + (len(blocks), len(taken_pcs))
-
-    def _statistics_tuple_numpy(self) -> Tuple[int, ...]:
-        np = _np
-        branch_pcs = np.frombuffer(self.branch_pcs, dtype=np.int64)
-        kinds = np.frombuffer(self.kinds, dtype=np.int8)
-        takens = np.frombuffer(self.takens, dtype=np.int8) != 0
-        has_branch = branch_pcs != NO_VALUE
-        taken_mask = has_branch & takens
-
-        conditional_mask = has_branch & (
-            kinds == _KIND_TO_CODE[BranchKind.CONDITIONAL]
-        )
-        call_mask = has_branch & (
-            (kinds == _KIND_TO_CODE[BranchKind.CALL])
-            | (kinds == _KIND_TO_CODE[BranchKind.INDIRECT_CALL])
-        )
-        indirect_mask = has_branch & (
-            (kinds == _KIND_TO_CODE[BranchKind.INDIRECT])
-            | (kinds == _KIND_TO_CODE[BranchKind.INDIRECT_CALL])
-            | (kinds == _KIND_TO_CODE[BranchKind.RETURN])
-        )
-        return_mask = has_branch & (kinds == _KIND_TO_CODE[BranchKind.RETURN])
-
-        # Every region touches its first block; a region spanning k blocks
-        # additionally touches first + 1..k-1 strides.  Expanding stride by
-        # stride keeps the working set at one address array per span length
-        # (spans are tiny — a region rarely crosses more than a few blocks).
-        firsts = np.frombuffer(self.block_firsts, dtype=np.int64)
-        counts = np.frombuffer(self.block_counts, dtype=np.int32)
-        parts = [firsts]
-        for stride in range(1, int(counts.max())):
-            parts.append(firsts[counts > stride] + stride * BLOCK_SIZE_BYTES)
-        unique_blocks = int(np.unique(np.concatenate(parts)).size)
-
-        return (
-            self.instruction_count,
-            len(self),
-            int(has_branch.sum()),
-            int(taken_mask.sum()),
-            int(conditional_mask.sum()),
-            int((conditional_mask & takens).sum()),
-            int(call_mask.sum()),
-            int(return_mask.sum()),
-            int(indirect_mask.sum()),
-            unique_blocks,
-            int(np.unique(branch_pcs[taken_mask]).size),
-        )
 
     # ------------------------------------------------------------------ #
     # On-disk form

@@ -8,6 +8,8 @@ parameterization with e.g. ``pytest --backend reference``.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.workloads import get_profile, generate_trace, synthesize_program
@@ -44,6 +46,18 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
                     reason=impl.unavailable_reason()
                 )))
         metafunc.parametrize("sim_backend", params)
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """numpy cannot be imported, and ``get_backend("batch")`` returns a
+    backend built under that condition (the memoized one is restored after
+    the test)."""
+    from repro.backends import BatchBackend
+    from repro.backends.base import _instances
+
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setitem(_instances, "batch", BatchBackend())
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,16 @@ out-of-tree backends.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.backends import (
     BACKEND_REGISTRY,
@@ -168,3 +176,44 @@ class TestSimulatorBackendKnob:
         # The per-run override wins: reference consumes what scalar cannot.
         result = simulator.run(fake, backend="reference")
         assert result.fetch_regions > 0
+
+
+class TestNumpyStaysOptional:
+    """numpy is loaded by the ``batch`` backend and by nothing else."""
+
+    SCRIPT = textwrap.dedent("""
+        import json, sys
+        import repro, repro.__main__, repro.analysis
+        from repro.analysis.experiments import branch_density_table
+        from repro.backends import get_backend
+        from repro.workloads import generate_trace, get_profile, synthesize_program
+
+        get_backend("scalar")
+        program = synthesize_program(get_profile("oltp_db2").scaled(0.05))
+        trace = generate_trace(program, 2_000, seed=1)
+        branch_density_table(program, trace)
+        trace.statistics()
+        before = "numpy" in sys.modules
+        batch = get_backend("batch")
+        print(json.dumps({"before": before, "after": "numpy" in sys.modules,
+                          "available": batch.available()}))
+    """)
+
+    def test_only_the_batch_backend_imports_numpy(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        seen = json.loads(result.stdout.strip().splitlines()[-1])
+        assert seen["before"] is False
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            has_numpy = False
+        else:
+            has_numpy = True
+        assert seen["available"] is has_numpy
+        assert seen["after"] is has_numpy

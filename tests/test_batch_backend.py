@@ -246,15 +246,11 @@ class TestCMPDispatch:
 
 
 class TestNumpyAbsent:
-    """Registered-but-unavailable: clear errors, never an AttributeError."""
+    """Registered-but-unavailable: clear errors, never an AttributeError.
 
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro._np
-        import repro.backends.batch
-
-        monkeypatch.setattr(repro._np, "np", None)
-        monkeypatch.setattr(repro.backends.batch, "np", None)
+    The ``no_numpy`` fixture (conftest) makes ``import numpy`` fail for a
+    freshly built backend, the same condition a host without numpy has.
+    """
 
     def test_reports_unavailable(self, no_numpy):
         batch = get_backend("batch")
@@ -274,7 +270,7 @@ class TestNumpyAbsent:
 
     def test_cmp_dispatch_skips_the_lane_path(self, no_numpy, tiny_program):
         # _batch_backend returns None when unavailable; the per-core path
-        # then surfaces the uniform require_numpy error on the first run.
+        # then surfaces the backend's "requires numpy" error on the first run.
         cmp_ = ChipMultiprocessor(tiny_program, cores=2, instructions_per_core=6_000)
         with pytest.raises(ValueError, match="requires numpy"):
             cmp_.run_design("baseline", backend="batch")

@@ -294,12 +294,7 @@ class TestBackendsCommand:
         assert rows["scalar"]["available"] is True
         assert rows["scalar"]["unavailable reason"] is None
 
-    def test_unavailable_backend_is_annotated(self, capsys, monkeypatch):
-        import repro._np
-        import repro.backends.batch
-
-        monkeypatch.setattr(repro._np, "np", None)
-        monkeypatch.setattr(repro.backends.batch, "np", None)
+    def test_unavailable_backend_is_annotated(self, capsys, no_numpy):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "batch (unavailable: numpy is not installed)" in out

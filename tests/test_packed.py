@@ -68,6 +68,32 @@ def _reference_statistics(records) -> TraceStatistics:
     return stats
 
 
+def _reference_branch_density(records) -> dict:
+    """The Table 2 density over the record view (the columnar walk's oracle)."""
+    static_branches, dynamic_counts = {}, []
+    current_block, current_branches = None, set()
+    for record in records:
+        if record.branch_pc is None:
+            continue
+        branch_block = block_address(record.branch_pc)
+        static_branches.setdefault(branch_block, set()).add(record.branch_pc)
+        if branch_block != current_block:
+            if current_block is not None:
+                dynamic_counts.append(len(current_branches))
+            current_block = branch_block
+            current_branches = set()
+        if record.taken:
+            current_branches.add(record.branch_pc)
+    if current_block is not None:
+        dynamic_counts.append(len(current_branches))
+    if not static_branches:
+        return {"static": 0.0, "dynamic": 0.0}
+    return {
+        "static": sum(len(p) for p in static_branches.values()) / len(static_branches),
+        "dynamic": sum(dynamic_counts) / len(dynamic_counts),
+    }
+
+
 class TestKindCodes:
     def test_round_trip_every_kind(self):
         for kind in BranchKind:
@@ -143,11 +169,18 @@ class TestStatisticsParity:
         trace = Trace(records, name="hand")
         assert trace.statistics() == _reference_statistics(records)
 
-    def test_vectorized_statistics_match_the_pure_loop(self, tiny_trace):
-        # statistics_tuple may take the numpy path; the pure-array fold is
-        # the behavioral reference and the two must agree exactly.
-        assert tiny_trace.packed.statistics_tuple() == \
-            tiny_trace.packed.statistics_tuple_reference()
+    # The ``vectorized`` names below come from a removed numpy twin of each
+    # reduction; they now hold the one columnar walk to the record-walk
+    # oracle on inputs the tests above leave out.
+
+    def test_vectorized_statistics_match_the_pure_loop(self, tiny_trace, tmp_path):
+        # Memory-mapped columns are memoryviews, not arrays.
+        path = tmp_path / "t.trace"
+        tiny_trace.packed.save(path)
+        mapped = load_packed(path, mmap=True)
+        assert mapped.mapped
+        assert mapped.statistics_tuple() == \
+            dataclasses.astuple(_reference_statistics(tiny_trace.records))
 
     def test_vectorized_statistics_match_on_handcrafted_edge_cases(self):
         records = [
@@ -156,48 +189,30 @@ class TestStatisticsParity:
             _record(BASE + 80, count=5, branch=False),
             _record(BASE + 100, count=2, kind=BranchKind.INDIRECT, next_pc=BASE),
             _record(BASE, count=4, taken=False),
+            # Counts as both a call and an indirect, and spans 3 blocks.
             _record(BASE + 0x800, count=40, kind=BranchKind.INDIRECT_CALL,
                     next_pc=BASE),
         ]
         packed = Trace(records, name="edges").packed
-        assert packed.statistics_tuple() == packed.statistics_tuple_reference()
+        assert packed.statistics_tuple() == \
+            dataclasses.astuple(_reference_statistics(records))
 
-    def test_vectorized_branch_density_matches_the_pure_loop(self, tiny_trace):
-        vectorized = tiny_trace.branch_density()
-        reference = tiny_trace.branch_density_reference()
-        assert vectorized["static"] == pytest.approx(reference["static"])
-        assert vectorized["dynamic"] == pytest.approx(reference["dynamic"])
-
-    def test_vectorized_branch_density_on_branchless_trace(self):
-        trace = Trace([_record(BASE, branch=False) for _ in range(5)], name="nb")
-        assert trace.branch_density() == {"static": 0.0, "dynamic": 0.0}
-        assert trace.branch_density_reference() == {"static": 0.0, "dynamic": 0.0}
+    def test_vectorized_branch_density_matches_the_pure_loop(self, tiny_trace, tmp_path):
+        path = tmp_path / "t.trace"
+        tiny_trace.packed.save(path)
+        mapped = Trace.from_packed(load_packed(path, mmap=True))
+        assert mapped.branch_density() == \
+            _reference_branch_density(tiny_trace.records)
 
     def test_branch_density_matches_record_walk(self, tiny_trace):
-        # Reference implementation over the record view.
-        from repro.isa.instruction import block_address as baddr
+        assert tiny_trace.branch_density() == \
+            _reference_branch_density(tiny_trace.records)
 
-        static_branches, dynamic_counts = {}, []
-        current_block, current_branches = None, set()
-        for record in tiny_trace.records:
-            if record.branch_pc is None:
-                continue
-            branch_block = baddr(record.branch_pc)
-            static_branches.setdefault(branch_block, set()).add(record.branch_pc)
-            if branch_block != current_block:
-                if current_block is not None:
-                    dynamic_counts.append(len(current_branches))
-                current_block = branch_block
-                current_branches = set()
-            if record.taken:
-                current_branches.add(record.branch_pc)
-        if current_block is not None:
-            dynamic_counts.append(len(current_branches))
-        expected_static = sum(len(p) for p in static_branches.values()) / len(static_branches)
-        expected_dynamic = sum(dynamic_counts) / len(dynamic_counts)
-        densities = tiny_trace.branch_density()
-        assert densities["static"] == pytest.approx(expected_static)
-        assert densities["dynamic"] == pytest.approx(expected_dynamic)
+    def test_branch_density_of_branchless_trace_matches_record_walk(self):
+        records = [_record(BASE, branch=False) for _ in range(5)]
+        assert _reference_branch_density(records) == {"static": 0.0, "dynamic": 0.0}
+        assert Trace(records, name="nb").branch_density() == \
+            _reference_branch_density(records)
 
 
 class TestBlockStream:
