@@ -6,10 +6,9 @@ are chosen so the full benchmark suite completes in a few minutes on a
 laptop; set ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_INSTRUCTIONS`` to run
 closer to the paper's operating point.
 
-``REPRO_BENCH_PARALLEL=N`` (the ``parallel=N`` knob) fans workload
-construction out across ``N`` worker processes and is exposed to benchmarks
-through the ``bench_workers`` fixture for CMP/Session-based runs.  The
-default of 1 keeps everything serial.
+``REPRO_BENCH_PARALLEL=N`` sets the ``workers`` of the sweep-based grid
+benchmarks (the sweep's cell pool, through the ``bench_workers`` fixture).
+The default of 1 keeps everything serial.
 
 ``REPRO_BENCH_CACHE`` turns on the sweep engine's on-disk result cache for
 grid benchmarks (``1`` for the default directory — ``$REPRO_CACHE_DIR`` or
@@ -34,7 +33,7 @@ Knob summary (all optional; defaults in parentheses):
                            speedup) are also skipped in smoke mode — the CI
                            perf job checks the bench JSON *schema* instead,
                            never the timings
-``REPRO_BENCH_PARALLEL``   worker processes for workload construction (1)
+``REPRO_BENCH_PARALLEL``   sweep worker processes for grid benchmarks (1)
 ``REPRO_BENCH_CACHE``      result cache: 1 = default dir, or a path (off)
 ``REPRO_BENCH_TRACE_STORE``  packed-trace store: 1 = default dir, or a path
                            (off)
@@ -50,9 +49,7 @@ CI perf smoke job finishes in seconds; see :mod:`repro.perfbench`.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -122,24 +119,8 @@ def shape_assertions() -> bool:
     return not BENCH_SMOKE
 
 
-def _fork_context():
-    """Workers must fork: this conftest module is not importable by name
-    under spawn/forkserver (pytest loads it as a file, not a package)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        return None
-
-
 @pytest.fixture(scope="session")
 def workloads():
     """{label: (program, trace)} for the five evaluation workloads."""
     profiles = evaluation_profiles(scale=BENCH_SCALE)
-    context = _fork_context()
-    if BENCH_PARALLEL > 1 and context is not None:
-        with ProcessPoolExecutor(
-            max_workers=min(BENCH_PARALLEL, len(profiles)), mp_context=context
-        ) as pool:
-            built_list = list(pool.map(_build_workload, profiles.values()))
-        return dict(zip(profiles.keys(), built_list, strict=True))
     return {label: _build_workload(profile) for label, profile in profiles.items()}

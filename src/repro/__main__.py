@@ -83,7 +83,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.analysis.reporting import format_table
 from repro.api import reports_from_sweep
@@ -102,7 +102,6 @@ from repro.workloads.profiles import WORKLOAD_PROFILES
 from repro.workloads.scenario import SCENARIOS
 
 if TYPE_CHECKING:
-    from repro.workloads.packed import PackedTrace
     from repro.workloads.trace import TraceStatistics
 
 
@@ -214,8 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "statistics match a fresh generator walk")
     trace.add_argument("--info", default=None, metavar="PATH",
                        help="describe an existing packed trace artifact")
-    trace.add_argument("--chunk-regions", type=int, default=1 << 16,
-                       help="streaming chunk size in fetch regions (default 65536)")
     trace.add_argument("--prune", default=None, metavar="BYTES",
                        help="LRU-evict cold artifacts until the trace store is "
                             "at most BYTES (suffixes K/M/G accepted)")
@@ -314,12 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", default=None, metavar="PATH",
                         help="write the rendered report to PATH instead of "
                              "stdout")
-    report.add_argument("--save-bundle", action="store_true",
-                        help="also persist the collected bundle, "
-                             "content-addressed, under --report-dir")
-    report.add_argument("--report-dir", default=None, metavar="PATH",
-                        help="bundle directory for --save-bundle (default: "
-                             "$REPRO_REPORT_DIR or <cache dir>/reports)")
     report.add_argument("--check", action="store_true",
                         help="fail (exit 1) when any backend's regions/sec "
                              "in the newest point falls below --tolerance x "
@@ -542,9 +533,14 @@ def _parse_byte_size(text: str) -> int:
 
 
 def _run_trace_command(args: argparse.Namespace) -> int:
-    from repro.workloads import TraceWalker, get_profile, load_packed, synthesize_program
-    from repro.workloads.packed import save_chunks
-    from repro.workloads.trace import Trace, TraceStatistics
+    from repro.workloads import (
+        TraceWalker,
+        generate_packed_trace,
+        get_profile,
+        load_packed,
+        synthesize_program,
+    )
+    from repro.workloads.trace import Trace
 
     if args.prune is not None:
         if args.out is not None or args.info is not None or args.verify:
@@ -609,29 +605,13 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     )
     program = synthesize_program(profile)
 
-    # Stream the walk to disk chunk by chunk, folding statistics as each
-    # chunk passes through: the artifact never has to fit in memory, which
-    # is the point of the chunked on-disk format.
-    walker = TraceWalker(program, seed=args.seed)
-    counters = [0] * 9
-    blocks: Set[int] = set()
-    taken_pcs: Set[int] = set()
-
-    def folded(chunks: Iterator["PackedTrace"]) -> Iterator["PackedTrace"]:
-        for chunk in chunks:
-            chunk.fold_statistics(counters, blocks, taken_pcs)
-            yield chunk
-
+    packed = generate_packed_trace(program, instructions, seed=args.seed, name=profile.name)
     try:
-        save_chunks(
-            args.out,
-            profile.name,
-            folded(walker.run_chunks(instructions, chunk_regions=args.chunk_regions)),
-        )
+        packed.save(args.out)
     except (OSError, ValueError) as error:
         print(f"trace: cannot write {args.out}: {error}", file=sys.stderr)
         return 1
-    stats = TraceStatistics(*counters, len(blocks), len(taken_pcs))
+    stats = Trace.from_packed(packed).statistics()
     _print_trace_stats(profile.name, stats.instruction_count, stats)
     print(f"wrote {args.out}")
 
@@ -763,7 +743,6 @@ def _run_report_command(args: argparse.Namespace) -> int:
     from repro.report import (
         check_bundle,
         collect_bundle,
-        default_report_dir,
         format_check,
         render_bundle,
     )
@@ -795,16 +774,6 @@ def _run_report_command(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"report: cannot collect: {error}", file=sys.stderr)
         return 1
-
-    if args.save_bundle:
-        directory = args.report_dir if args.report_dir is not None else default_report_dir()
-        try:
-            saved = bundle.save(directory)
-        except OSError as error:
-            print(f"--save-bundle: cannot write under {directory}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"saved bundle {saved}", file=sys.stderr)
 
     if args.check:
         try:

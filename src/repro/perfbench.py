@@ -216,7 +216,7 @@ def run_kernel_benchmark(
         trace.packed.save(artifact)
         save_s = time.perf_counter() - start
         start = time.perf_counter()
-        packed = load_packed(artifact, mmap=True)
+        packed = load_packed(artifact)
         load_s = time.perf_counter() - start
         mapped_trace = Trace.from_packed(packed)
         return {
@@ -405,23 +405,20 @@ def format_bench_report(payload: Dict[str, object]) -> str:
 
 
 def _trajectory_points(payload: object, path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Normalize a trajectory file: a ``points`` list, or one bare point."""
-    if isinstance(payload, dict) and isinstance(payload.get("points"), list):
-        points = [point for point in payload["points"] if isinstance(point, dict)]
-        if len(points) != len(payload["points"]) or not points:
-            raise ValueError(f"{path} has malformed trajectory points")
-        return points
-    if isinstance(payload, dict) and "schema" in payload:
-        return [payload]  # pre-trajectory format: one bare point
-    raise ValueError(f"{path} is not a bench trajectory file")
+    """The ``points`` list of a trajectory file, each point a dict."""
+    if not (isinstance(payload, dict) and isinstance(payload.get("points"), list)):
+        raise ValueError(f"{path} is not a bench trajectory file")
+    points = [point for point in payload["points"] if isinstance(point, dict)]
+    if len(points) != len(payload["points"]) or not points:
+        raise ValueError(f"{path} has malformed trajectory points")
+    return points
 
 
 def load_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Read every recorded point of a trajectory file, oldest first.
 
-    Accepts both the trajectory format (``{"bench": ..., "points": [...]}``)
-    and the original single-point format (one bare payload dict).  Points
-    come back as recorded, unchecked; :func:`load_trajectory_point` and
+    The file is ``{"bench": ..., "points": [...]}``.  Points come back as
+    recorded, unchecked; :func:`load_trajectory_point` and
     :func:`normalized_trajectory` are the schema-checking readers.
     """
     with open(path, encoding="utf-8") as handle:
@@ -520,9 +517,7 @@ def append_trajectory_point(
 ) -> int:
     """Append one point to a trajectory file; returns the new point count.
 
-    Creates the file when missing; a pre-trajectory single-point file is
-    upgraded in place (its recorded point becomes the history's first
-    entry).  The write is atomic (temp file + rename), the ``put`` idiom of
+    Creates the file when missing.  The write is atomic (temp file + rename), the ``put`` idiom of
     the result cache.
     """
     path = Path(path)

@@ -193,15 +193,6 @@ def _summary_checksum(summary: Mapping[str, object]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _file_sha256(path: Union[str, Path]) -> str:
-    """Streaming SHA-256 of a file's bytes (trace artifacts can be large)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 _T = TypeVar("_T")
 
 
@@ -465,24 +456,20 @@ class TraceStore:
     every design sharing a profile — and every future run, in any process —
     maps the artifact back in through :meth:`load` instead of re-walking the
     generator.  Writes are atomic (temp file + rename), so sweeps sharing a
-    store can only observe complete artifacts.  Each artifact gets a
-    ``<name>.sum`` sidecar with its SHA-256, verified before the columns are
-    mapped; a truncated, bit-flipped or otherwise unreadable artifact is
-    **quarantined** to ``*.corrupt`` (with its sidecar), warned via
+    store can only observe complete artifacts.  Loads are zero-copy: the
+    columns are memoryviews over an mmap of the artifact, so N processes
+    sharing a store read one page-cache copy of each trace instead of N
+    heap copies.  Every artifact carries its own SHA-256
+    (:func:`~repro.workloads.packed.load_packed` verifies it before the
+    columns are handed out); a truncated, bit-flipped or otherwise
+    unreadable artifact is **quarantined** to ``*.corrupt``, warned via
     :class:`CorruptArtifactWarning`, counted in ``quarantined`` and served
-    as a miss — never a crash mid-``mmap``.  Artifacts without a sidecar
-    (written by earlier builds) get structural checks only.
+    as a miss — never a crash mid-``mmap``.
     ``hits``/``misses`` count :meth:`load` outcomes for observability.
     """
 
-    def __init__(
-        self, directory: Union[str, Path, None] = None, mmap: bool = True
-    ) -> None:
+    def __init__(self, directory: Union[str, Path, None] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_trace_dir()
-        #: Serve loads as memoryviews over an mmap of the artifact (the
-        #: zero-copy default): N processes sharing a store read one
-        #: page-cache copy of each trace instead of N heap copies.
-        self.mmap = mmap
         self.hits = 0
         self.misses = 0
         #: How many :meth:`load` hits were served zero-copy (mmap-backed).
@@ -514,14 +501,9 @@ class TraceStore:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.trace"
 
-    @staticmethod
-    def _checksum_path(path: Path) -> Path:
-        return path.with_name(path.name + ".sum")
-
     def _quarantine(self, path: Path, reason: str) -> None:
         self.quarantined += 1
         moved = _quarantine_file(path)
-        _quarantine_file(self._checksum_path(path))
         where = f" (moved to {moved.name})" if moved is not None else ""
         warnings.warn(
             f"quarantined corrupt trace artifact {path.name}: {reason}{where}",
@@ -538,10 +520,10 @@ class TraceStore:
     ) -> Optional[Trace]:
         """Map a stored trace back in, or ``None`` on miss.
 
-        The artifact's ``.sum`` sidecar (when present) is verified before
-        the columns are mapped; a checksum mismatch or an unreadable
-        artifact is quarantined (see :class:`CorruptArtifactWarning`) and
-        served as a miss.  ``name`` overrides the stored trace name
+        The artifact's embedded checksum is verified before the columns
+        are mapped; a checksum mismatch or an unreadable artifact is
+        quarantined (see :class:`CorruptArtifactWarning`) and served as a
+        miss.  ``name`` overrides the stored trace name
         (per-core names differ even when the underlying artifact is shared
         across runs).
         """
@@ -549,16 +531,7 @@ class TraceStore:
         path = self._path(key)
         try:
             injection_point("trace:load", label=key)
-            expected: Optional[str] = None
-            try:
-                expected = self._checksum_path(path).read_text(
-                    encoding="utf-8"
-                ).strip()
-            except FileNotFoundError:
-                expected = None  # legacy artifact predating checksums
-            if expected is not None and _file_sha256(path) != expected:
-                raise ValueError("artifact does not match its stored checksum")
-            packed = load_packed(path, mmap=self.mmap)
+            packed = load_packed(path)
         except (FileNotFoundError, NotADirectoryError):
             # Absent artifact — or an unusable store directory, which is not
             # an artifact's fault and must not read as a quarantine.
@@ -580,22 +553,10 @@ class TraceStore:
         seed: int,
         trace: Trace,
     ) -> Path:
-        """Store one trace atomically; returns the artifact's path.
-
-        The checksum sidecar is written (atomically) after the artifact, so
-        a crash between the two leaves a loadable legacy-style artifact,
-        never a mismatched pair.
-        """
+        """Store one trace atomically; returns the artifact's path."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        key = trace_key(profile, instructions, seed)
-
-        def save(tmp_name: str) -> str:
-            trace.packed.save(tmp_name)
-            return _file_sha256(tmp_name)
-
-        path = self._path(key)
-        digest = _atomic_write(path, save)
-        _atomic_write_text(self._checksum_path(path), digest + "\n")
+        path = self._path(trace_key(profile, instructions, seed))
+        _atomic_write(path, trace.packed.save)
         return path
 
     def prune(self, max_bytes: int) -> Tuple[int, int]:
@@ -606,11 +567,9 @@ class TraceStore:
         least-recently-used ``.trace`` files (by ``max(atime, mtime)`` —
         atime tracks use where the filesystem records it, mtime is the
         write-time floor on ``noatime`` mounts) until the total size is at
-        most ``max_bytes``.  Checksum sidecars ride along with their
-        artifact (they neither count toward the size nor survive it).
-        Returns ``(files removed, bytes freed)``.  Processes currently
-        mapping a removed artifact are unaffected (the page cache holds the
-        inode until the last mapping drops).
+        most ``max_bytes``.  Returns ``(files removed, bytes freed)``.
+        Processes currently mapping a removed artifact are unaffected (the
+        page cache holds the inode until the last mapping drops).
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
@@ -642,8 +601,6 @@ class TraceStore:
                     continue  # undeletable (permissions?); its bytes remain
                 total -= size  # a concurrent prune freed it; don't over-evict
                 continue
-            with contextlib.suppress(OSError):
-                self._checksum_path(path).unlink()
             total -= size
             removed += 1
             freed += size

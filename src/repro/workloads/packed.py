@@ -23,19 +23,28 @@ Columns (one slot per fetch region):
 
 Traces are built through :class:`PackedTraceBuilder`, which buffers appends
 in plain lists and flushes them into the arrays in chunks, so generation
-never holds more than one chunk of Python objects.  :meth:`PackedTrace.save`
-and :meth:`PackedTrace.load` give traces a compact binary on-disk form (the
-:class:`repro.sweep.TraceStore` artifact format); the file layout is itself
-chunked, so arbitrarily long traces can be streamed to disk with
-:func:`save_chunks` without ever being resident in memory at once.
+never holds more than one chunk of Python objects.
 
-Columns may be ``array`` objects (the heap form) or read-only
-``memoryview``s over an ``mmap`` of the on-disk artifact —
-``load_packed(path, mmap=True)`` maps a single-chunk, native-byte-order
-file without copying a byte, so every process sharing a trace store reads
-the same page-cache pages instead of each holding a private heap copy.
-Mapped traces behave identically (the parity suite pins it); pickling one
-(e.g. handing it to a worker process) materializes heap arrays.
+On disk (the :class:`repro.sweep.TraceStore` artifact) a trace is one
+file with one layout, written by :meth:`PackedTrace.save` and read by
+:func:`load_packed`:
+
+* a header — magic ``RPKT``, :data:`PACKED_TRACE_FORMAT_VERSION`, byte
+  order, name and region count;
+* the nine columns, in ``_COLUMNS`` order, each one contiguous block
+  zero-padded to an 8-byte boundary (so every column starts aligned);
+* a trailer — total regions, total instructions and the SHA-256 of every
+  byte before the trailer.
+
+:func:`load_packed` maps the file and checks the digest and the totals
+before it hands out a column, so a truncated or bit-flipped artifact is
+a :class:`ValueError`, never a silently wrong trace.  The columns it
+returns are read-only ``memoryview``s over the mapping: every process
+sharing a trace store reads the same page-cache pages instead of each
+holding a private heap copy.  Columns may equally be ``array`` objects
+(the heap form the builder produces); both behave identically (the parity
+suite pins it), and pickling a mapped trace (e.g. handing it to a worker
+process) materializes heap arrays.
 
 The reductions (:attr:`PackedTrace.instruction_count`,
 :meth:`PackedTrace.statistics_tuple`) are plain walks over the ``array``
@@ -44,15 +53,14 @@ columns; the test suite checks them against an independent record walk.
 
 from __future__ import annotations
 
+import hashlib
 import mmap as _mmap_module
 import struct
 import sys
 from array import array
 from pathlib import Path
 from typing import (
-    IO,
     TYPE_CHECKING,
-    Any,
     Callable,
     Iterable,
     Iterator,
@@ -82,7 +90,6 @@ __all__ = [
     "kind_code",
     "kind_from_code",
     "load_packed",
-    "save_chunks",
 ]
 
 #: Branch-kind encoding used by the ``kinds`` column; index = stored code.
@@ -102,7 +109,7 @@ NO_VALUE = -1
 
 #: Bumped whenever the on-disk column layout changes meaning; readers reject
 #: files written under another version instead of misreading them.
-PACKED_TRACE_FORMAT_VERSION = 1
+PACKED_TRACE_FORMAT_VERSION = 2
 
 #: (column attribute, array typecode).  ``q`` columns hold addresses (or the
 #: ``-1`` sentinel), ``i`` columns hold small counts, ``b`` columns hold the
@@ -120,11 +127,18 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
 )
 
 _MAGIC = b"RPKT"
-_HEADER = struct.Struct("<4sHBB")  # magic, format version, byteorder, reserved
-_CHUNK_MARKER = struct.Struct("<B")  # 1 = chunk follows, 0 = trailer follows
-_U16 = struct.Struct("<H")
-_U64 = struct.Struct("<Q")
-_TRAILER = struct.Struct("<QQ")  # total regions, total instructions
+#: magic, format version, byte order (0 = little, 1 = big), name length in
+#: bytes, region count.  Header fields are little-endian on every host.
+_HEADER = struct.Struct("<4sHBxHQ")
+#: total regions, total instructions, SHA-256 of every byte before it.
+_TRAILER = struct.Struct("<QQ32s")
+_NATIVE_BYTEORDER = 0 if sys.byteorder == "little" else 1
+_ITEMSIZE = {typecode: array(typecode).itemsize for _, typecode in _COLUMNS}
+
+
+def _pad(size: int) -> int:
+    """Zero bytes after a ``size``-byte block so the next starts 8-aligned."""
+    return -size % 8
 
 
 def kind_code(kind: Optional[BranchKind]) -> int:
@@ -166,7 +180,7 @@ class PackedTrace:
     and are conceptually immutable afterwards; consumers index the column
     attributes directly.  Columns are ``array``s, or ``memoryview``s over an
     mmap of the on-disk artifact (see :meth:`from_buffers` /
-    ``load_packed(path, mmap=True)``); :attr:`mapped` tells the two apart.
+    :func:`load_packed`); :attr:`mapped` tells the two apart.
     """
 
     __slots__ = tuple(name for name, _ in _COLUMNS) + (
@@ -208,7 +222,8 @@ class PackedTrace:
 
     @property
     def mapped(self) -> bool:
-        """True when the columns are memoryviews over an mmap, not arrays."""
+        """True when the columns are memoryviews over a loaded artifact (its
+        mmap, or its bytes where the file cannot be mapped), not arrays."""
         return isinstance(self.starts, memoryview)
 
     def __reduce__(
@@ -281,21 +296,18 @@ class PackedTrace:
             else:
                 yield from range(first, first + count * block_size, block_size)
 
-    def fold_statistics(
-        self, counters: List[int], blocks: Set[int], taken_pcs: Set[int]
-    ) -> None:
-        """Fold this trace's regions into running statistics accumulators.
+    def statistics_tuple(self) -> Tuple[int, ...]:
+        """Aggregate counters in one columnar pass.
 
-        ``counters`` is a mutable 9-slot list of the additive counts
-        ``[instructions, regions, branches, taken, conditionals,
-        conditional_taken, calls, returns, indirects]``; the unique block
-        addresses and taken branch PCs accumulate in the two sets.  Chunked
-        consumers (streamed generation) fold each chunk as it is produced,
-        so statistics never require the whole trace in memory.
+        Returns the raw counter tuple ``(instructions, regions, branches,
+        taken, conditionals, conditional_taken, calls, returns, indirects,
+        unique_blocks, unique_taken_branches)``;
+        :meth:`repro.workloads.trace.Trace.statistics` wraps it in a
+        :class:`~repro.workloads.trace.TraceStatistics`.
         """
-        blocks.update(self.iter_blocks())
-        counters[0] += self.instruction_count
-        counters[1] += len(self)
+        counters = [self.instruction_count, len(self)] + [0] * 7
+        blocks = set(self.iter_blocks())
+        taken_pcs: Set[int] = set()
         cond = _KIND_TO_CODE[BranchKind.CONDITIONAL]
         ret = _KIND_TO_CODE[BranchKind.RETURN]
         call_codes = (
@@ -324,83 +336,38 @@ class PackedTrace:
             if taken:
                 counters[3] += 1
                 taken_pcs.add(branch_pc)
-
-    def statistics_tuple(self) -> Tuple[int, ...]:
-        """Aggregate counters in one columnar pass.
-
-        Returns the raw counter tuple ``(instructions, regions, branches,
-        taken, conditionals, conditional_taken, calls, returns, indirects,
-        unique_blocks, unique_taken_branches)``;
-        :meth:`repro.workloads.trace.Trace.statistics` wraps it in a
-        :class:`~repro.workloads.trace.TraceStatistics`.
-        """
-        counters = [0] * 9
-        blocks: Set[int] = set()
-        taken_pcs: Set[int] = set()
-        self.fold_statistics(counters, blocks, taken_pcs)
         return tuple(counters) + (len(blocks), len(taken_pcs))
 
     # ------------------------------------------------------------------ #
     # On-disk form
     # ------------------------------------------------------------------ #
 
-    def save(self, path: Union[str, Path], chunk_regions: int = 1 << 18) -> None:
-        """Write the trace to ``path`` in the chunked binary format."""
-        save_chunks(path, self.name, self._chunks(chunk_regions))
+    def save(self, path: Union[str, Path]) -> None:
+        """Write the trace to ``path`` in the packed binary format.
 
-    def _chunks(self, chunk_regions: int) -> Iterator["PackedTrace"]:
-        if len(self) <= chunk_regions:
-            yield self
-            return
-        for start in range(0, len(self), chunk_regions):
-            yield self.slice(start, start + chunk_regions)
+        The SHA-256 in the trailer is folded in as the bytes are written,
+        so the artifact is never read back to checksum it.
+        """
+        encoded_name = self.name.encode("utf-8")
+        digest = hashlib.sha256()
+        with open(path, "wb") as handle:
 
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PackedTrace":
-        return load_packed(path)
+            def emit(data: Union[bytes, Column]) -> None:
+                handle.write(data)
+                digest.update(data)
 
-
-def _write_chunk(handle: IO[bytes], chunk: PackedTrace) -> Tuple[int, int]:
-    handle.write(_CHUNK_MARKER.pack(1))
-    handle.write(_U64.pack(len(chunk)))
-    for attr, _ in _COLUMNS:
-        column: array[int] = getattr(chunk, attr)
-        raw = column.tobytes()
-        handle.write(_U64.pack(len(raw)))
-        handle.write(raw)
-    return len(chunk), chunk.instruction_count
-
-
-def save_chunks(
-    path: Union[str, Path], name: str, chunks: Iterable[PackedTrace]
-) -> None:
-    """Stream packed chunks to ``path``; totals go in the trailer.
-
-    This is the larger-than-memory write path: each chunk is written and
-    released before the next is produced (``chunks`` may be a generator
-    straight off a :class:`~repro.workloads.generator.TraceWalker`).
-    """
-    byteorder = 0 if sys.byteorder == "little" else 1
-    encoded_name = name.encode("utf-8")
-    regions = 0
-    instructions = 0
-    with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(_MAGIC, PACKED_TRACE_FORMAT_VERSION, byteorder, 0))
-        handle.write(_U16.pack(len(encoded_name)))
-        handle.write(encoded_name)
-        for chunk in chunks:
-            chunk_regions, chunk_instructions = _write_chunk(handle, chunk)
-            regions += chunk_regions
-            instructions += chunk_instructions
-        handle.write(_CHUNK_MARKER.pack(0))
-        handle.write(_TRAILER.pack(regions, instructions))
-
-
-def _read_exact(handle: IO[bytes], size: int) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise ValueError("truncated packed trace file")
-    return data
+            emit(_HEADER.pack(
+                _MAGIC, PACKED_TRACE_FORMAT_VERSION, _NATIVE_BYTEORDER,
+                len(encoded_name), len(self),
+            ))
+            emit(encoded_name)
+            emit(bytes(_pad(_HEADER.size + len(encoded_name))))
+            for attr, typecode in _COLUMNS:
+                emit(getattr(self, attr))
+                emit(bytes(_pad(len(self) * _ITEMSIZE[typecode])))
+            handle.write(
+                _TRAILER.pack(len(self), self.instruction_count, digest.digest())
+            )
 
 
 def _unpickle_packed(name: str, raw_columns: Tuple[bytes, ...]) -> PackedTrace:
@@ -413,52 +380,26 @@ def _unpickle_packed(name: str, raw_columns: Tuple[bytes, ...]) -> PackedTrace:
     return PackedTrace(columns, name=name)
 
 
-class _MappedReader:
-    """Cursor over an mmap'd packed-trace file (zero-copy field reads)."""
+def load_packed(path: Union[str, Path]) -> PackedTrace:
+    """Read a packed trace written by :meth:`PackedTrace.save`.
 
-    __slots__ = ("view", "offset")
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.offset = 0
-
-    def unpack(self, fmt: struct.Struct) -> Tuple[Any, ...]:
-        end = self.offset + fmt.size
-        if end > len(self.view):
-            raise ValueError("truncated packed trace file")
-        values = fmt.unpack_from(self.view, self.offset)
-        self.offset = end
-        return values
-
-    def take(self, size: int) -> memoryview:
-        end = self.offset + size
-        if end > len(self.view):
-            raise ValueError("truncated packed trace file")
-        chunk = self.view[self.offset:end]
-        self.offset = end
-        return chunk
-
-
-def _load_packed_mapped(path: Union[str, Path]) -> Optional[PackedTrace]:
-    """Zero-copy loader: columns become memoryviews over an mmap of ``path``.
-
-    Only single-chunk, native-byte-order artifacts can be mapped (a column
-    split across chunks is not one contiguous byte range); returns ``None``
-    when the file needs the copying reader instead.  Malformed files raise
-    exactly like :func:`load_packed` — fallback is for *layout*, never for
-    corruption.
+    The columns are memoryviews straight over an mmap of the file — no heap
+    copy, one page-cache copy shared by every process mapping it — or over
+    the file's bytes where the file cannot be mapped.  The trailer's digest
+    and totals are checked before the trace is handed out, so a truncated,
+    bit-flipped or foreign-byte-order artifact raises :class:`ValueError`.
     """
     with open(path, "rb") as handle:
         try:
-            mapping = _mmap_module.mmap(
-                handle.fileno(), 0, access=_mmap_module.ACCESS_READ
+            view = memoryview(
+                _mmap_module.mmap(handle.fileno(), 0, access=_mmap_module.ACCESS_READ)
             )
         except (ValueError, OSError):
-            # Un-mappable handle (empty file, exotic filesystem): the
-            # copying reader will produce its usual result or error.
-            return None
-    reader = _MappedReader(memoryview(mapping))
-    magic, version, byteorder, _ = reader.unpack(_HEADER)
+            # Empty file or a filesystem without mmap: parse the bytes.
+            view = memoryview(handle.read())
+    if len(view) < _HEADER.size:
+        raise ValueError(f"truncated packed trace file: {path}")
+    magic, version, byteorder, name_length, regions = _HEADER.unpack_from(view)
     if magic != _MAGIC:
         raise ValueError(f"not a packed trace file: {path}")
     if version != PACKED_TRACE_FORMAT_VERSION:
@@ -466,91 +407,37 @@ def _load_packed_mapped(path: Union[str, Path]) -> Optional[PackedTrace]:
             f"packed trace format version {version} is not supported "
             f"(expected {PACKED_TRACE_FORMAT_VERSION})"
         )
-    if byteorder != (0 if sys.byteorder == "little" else 1):
-        return None  # foreign byte order: the copying reader byteswaps
-    (name_length,) = reader.unpack(_U16)
-    name = bytes(reader.take(name_length)).decode("utf-8")
-    column_views: Optional[List[memoryview]] = None
-    while True:
-        (marker,) = reader.unpack(_CHUNK_MARKER)
-        if marker == 0:
-            break
-        if column_views is not None:
-            return None  # multi-chunk: columns are not contiguous
-        reader.unpack(_U64)  # chunk region count (trailer re-validates)
-        column_views = []
-        for _, typecode in _COLUMNS:
-            (byte_length,) = reader.unpack(_U64)
-            try:
-                column_views.append(reader.take(byte_length).cast(typecode))
-            except TypeError:
-                # A length that is not a multiple of the element size is
-                # corruption; surface it as ValueError exactly like the
-                # copying reader so TraceStore treats it as a clean miss.
-                raise ValueError(
-                    f"corrupt packed trace column in {path}: {byte_length} "
-                    f"bytes is not a whole number of {typecode!r} elements"
-                ) from None
-    regions, instructions = reader.unpack(_TRAILER)
-    if column_views is None:
-        column_views = [
-            reader.view[0:0].cast(typecode) for _, typecode in _COLUMNS
-        ]
-    trace = PackedTrace.from_buffers(column_views, name=name)
-    if len(trace) != regions or trace.instruction_count != instructions:
+    if byteorder != _NATIVE_BYTEORDER:
         raise ValueError(
-            f"packed trace trailer mismatch in {path}: "
-            f"{len(trace)} regions/{trace.instruction_count} instructions read, "
-            f"trailer says {regions}/{instructions}"
+            f"packed trace {path} was written with the other byte order"
         )
-    return trace
-
-
-def load_packed(path: Union[str, Path], mmap: bool = False) -> PackedTrace:
-    """Read a packed trace written by :func:`save_chunks`/:meth:`~PackedTrace.save`.
-
-    With ``mmap=True`` the columns of a single-chunk, native-byte-order
-    artifact are served as memoryviews straight over the page cache — no
-    heap copy, shared across every process mapping the same file.  Files
-    that cannot be mapped (multi-chunk streams, foreign byte order) fall
-    back to the copying reader transparently.
-    """
-    if mmap:
-        trace = _load_packed_mapped(path)
-        if trace is not None:
-            return trace
-    with open(path, "rb") as handle:
-        magic, version, byteorder, _ = _HEADER.unpack(_read_exact(handle, _HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError(f"not a packed trace file: {path}")
-        if version != PACKED_TRACE_FORMAT_VERSION:
-            raise ValueError(
-                f"packed trace format version {version} is not supported "
-                f"(expected {PACKED_TRACE_FORMAT_VERSION})"
-            )
-        (name_length,) = _U16.unpack(_read_exact(handle, _U16.size))
-        name = _read_exact(handle, name_length).decode("utf-8")
-        swap = byteorder != (0 if sys.byteorder == "little" else 1)
-        columns = _empty_columns()
-        while True:
-            (marker,) = _CHUNK_MARKER.unpack(_read_exact(handle, _CHUNK_MARKER.size))
-            if marker == 0:
-                break
-            _U64.unpack(_read_exact(handle, _U64.size))  # chunk region count
-            for column in columns:
-                (byte_length,) = _U64.unpack(_read_exact(handle, _U64.size))
-                part = array(column.typecode)
-                part.frombytes(_read_exact(handle, byte_length))
-                if swap:
-                    part.byteswap()
-                column.extend(part)
-        regions, instructions = _TRAILER.unpack(_read_exact(handle, _TRAILER.size))
-    trace = PackedTrace(columns, name=name)
-    if len(trace) != regions or trace.instruction_count != instructions:
+    offset = _HEADER.size + name_length
+    offset += _pad(offset)
+    spans = []
+    for _, typecode in _COLUMNS:
+        size = regions * _ITEMSIZE[typecode]
+        spans.append((offset, offset + size))
+        offset += size + _pad(size)
+    if len(view) != offset + _TRAILER.size:
+        raise ValueError(
+            f"truncated or torn packed trace file: {path} holds {len(view)} "
+            f"bytes, its header implies {offset + _TRAILER.size}"
+        )
+    total_regions, total_instructions, digest = _TRAILER.unpack_from(view, offset)
+    if hashlib.sha256(view[:offset]).digest() != digest:
+        raise ValueError(f"packed trace {path} does not match its checksum")
+    trace = PackedTrace.from_buffers(
+        [
+            view[start:stop].cast(typecode)
+            for (start, stop), (_, typecode) in zip(spans, _COLUMNS, strict=True)
+        ],
+        name=bytes(view[_HEADER.size:_HEADER.size + name_length]).decode("utf-8"),
+    )
+    if total_regions != len(trace) or total_instructions != trace.instruction_count:
         raise ValueError(
             f"packed trace trailer mismatch in {path}: "
             f"{len(trace)} regions/{trace.instruction_count} instructions read, "
-            f"trailer says {regions}/{instructions}"
+            f"trailer says {total_regions}/{total_instructions}"
         )
     return trace
 
@@ -625,15 +512,6 @@ class PackedTraceBuilder:
             column.extend(buffer)
             del buffer[:]
         self._buffered = 0
-
-    def take_chunk(self) -> Optional[PackedTrace]:
-        """Detach everything appended so far as one chunk (streaming writes)."""
-        self._flush()
-        if not len(self._columns[0]):
-            return None
-        chunk = PackedTrace(self._columns, name=self.name)
-        self._columns = _empty_columns()
-        return chunk
 
     def build(self) -> PackedTrace:
         """Finish and return the packed trace (the builder can be reused)."""

@@ -15,7 +15,7 @@ class TestTraceCommand:
         code = main([
             "trace", "--profile", "oltp_db2", "--scale", "0.08",
             "--instructions", "5000", "--seed", "3",
-            "--out", str(out), "--verify", "--chunk-regions", "400",
+            "--out", str(out), "--verify",
         ])
         captured = capsys.readouterr()
         assert code == 0
@@ -163,13 +163,13 @@ class TestBenchCommand:
         from repro.perfbench import BENCH_SCHEMA_VERSION
 
         drifted = tmp_path / "drifted.json"
-        drifted.write_text(json.dumps({
+        drifted.write_text(json.dumps({"bench": "kernel_hotloop", "points": [{
             "schema": BENCH_SCHEMA_VERSION, "bench": "kernel_hotloop",
             "surprise": True,
-        }))
+        }]}))
         code = main(self.BENCH_ARGS + ["--expect-schema", str(drifted)])
         assert code == 1
-        assert "drifted" in capsys.readouterr().err
+        assert "schema drifted" in capsys.readouterr().err
 
     def test_committed_trajectory_point_matches_current_schema(self, capsys):
         # BENCH_kernel.json at the repo root is the recorded trajectory; a
@@ -583,15 +583,6 @@ class TestReportCommand:
         bench = self._trajectory(tmp_path / "bench.json", 1.0)
         assert main(["report", "--bench", bench, "--format", "pdf"]) == 2
         assert "pdf" in capsys.readouterr().err
-
-    def test_save_bundle_is_content_addressed(self, tmp_path, capsys):
-        bench = self._trajectory(tmp_path / "bench.json", 1.0)
-        store = tmp_path / "bundles"
-        for _ in range(2):
-            assert main(["report", "--bench", bench, "--format", "md",
-                         "--save-bundle", "--report-dir", str(store)]) == 0
-        capsys.readouterr()
-        assert len(list(store.glob("*.bundle.json"))) == 1
 
     def test_collects_sweep_save_report_output(self, tmp_path, capsys):
         # End-to-end through the CLI: a real (tiny) sweep saved with

