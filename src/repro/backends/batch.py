@@ -438,7 +438,7 @@ class _Lane:
         tags = dict(indirect._tags)
         targets = dict(indirect._targets)
         mask = indirect._mask
-        hits = 0
+        hits = correct = 0
         predictions = np.full(self.events, NO_VALUE, dtype=np.int64)
         touched = np.flatnonzero(
             (self.ev_code == _CODE_INDIRECT) | (self.ev_code == _CODE_INDIRECT_CALL)
@@ -453,10 +453,11 @@ class _Lane:
                 predicted = targets.get(slot)
                 if predicted is not None:
                     predictions[event] = predicted
+                    correct += predicted == next_pcs[position]
             tags[slot] = pc
             targets[slot] = next_pcs[position]
         self.indirect_pred = predictions
-        self._indirect_writeback = (tags, targets, len(touched), hits)
+        self._indirect_writeback = (tags, targets, len(touched), hits, correct)
 
     # -- Finish: write state and stats back, build the result ---------------- #
 
@@ -525,12 +526,13 @@ class _Lane:
         ras.underflows += underflows
 
         # --- Indirect target cache ------------------------------------------ #
-        tags, targets, indirect_lookups, indirect_hits = self._indirect_writeback
+        tags, targets, indirect_lookups, indirect_hits, indirect_correct = self._indirect_writeback
         indirect = bpu.indirect
         indirect._tags = tags
         indirect._targets = targets
         indirect.lookups += indirect_lookups
         indirect.hits += indirect_hits
+        indirect.correct += indirect_correct
 
         # --- Prediction/misfetch accounting --------------------------------- #
         predicted_taken = np.ones(events, dtype=bool)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.backends.base import BACKEND_REGISTRY, SimBackend
+from repro.backends.base import BACKEND_REGISTRY, SimBackend, get_backend
+from repro.branch.prediction_pass import BTB_TARGET, replays, trace_predictions
 from repro.branch.unit import PredictionSlot
 from repro.core.frontend import FrontendResult
-from repro.isa.instruction import BLOCK_SIZE_BYTES, INSTRUCTION_SIZE_BYTES
+from repro.isa.instruction import BLOCK_SIZE_BYTES
 from repro.prefetch.base import NullPrefetcher, PrefetchContext
 from repro.staticcheck.markers import hot_loop
 from repro.workloads.packed import KIND_CODES, NO_VALUE
@@ -42,20 +43,21 @@ class ScalarBackend(SimBackend):
     ) -> FrontendResult:
         """Simulate ``trace``; statistics cover the post-warmup portion.
 
-        This mirrors the ``reference`` backend operation for operation — same
-        component calls, same accumulation order — so the results are
-        bit-identical; only the Python-level record/attribute overhead is
-        gone.  The loop is also *allocation-free*: one reusable
-        :class:`~repro.branch.unit.PredictionSlot` receives every region's
-        prediction (no ``BranchPrediction``/``BTBLookupResult`` objects on
-        BTBs that override ``lookup_into``), a single
-        :class:`~repro.prefetch.base.PrefetchContext` is mutated per
-        iteration instead of constructed, and designs with no prefetcher
-        (plain :class:`~repro.prefetch.base.NullPrefetcher`) or a perfect
-        L1-I skip the corresponding machinery entirely.
+        Directions and RAS/indirect targets come from the trace's memoized
+        prediction pass (:mod:`repro.branch.prediction_pass`), whose end
+        state is installed after the loop; the loop runs the BTB, the L1-I
+        and the prefetcher in the ``reference`` backend's order, so results
+        are bit-identical.  It is *allocation-free*: one reusable
+        :class:`~repro.branch.unit.PredictionSlot` takes every BTB lookup,
+        one :class:`~repro.prefetch.base.PrefetchContext` is mutated per
+        region, and designs with no prefetcher or a perfect L1-I skip that
+        machinery.  A unit the pass cannot replay runs on ``reference``.
         """
+        bpu = simulator.bpu
+        if not replays(bpu):
+            return get_backend("reference").run(simulator, trace, warmup)
         packed = trace.packed
-        records = trace.records  # lazy view, handed to custom prefetchers
+        predictions = trace_predictions(packed, bpu)
         total = len(packed)
         warmup_boundary = int(total * warmup)
         result = FrontendResult(design=simulator.design_name, workload=trace.name)
@@ -71,9 +73,8 @@ class ScalarBackend(SimBackend):
             else 0
         )
         perfect = simulator.perfect_l1i
-        bpu = simulator.bpu
-        predict_into = bpu.predict_region_into
-        resolve = bpu.resolve_region
+        btb_lookup_into = bpu.btb.lookup_into
+        btb_update = bpu.btb.update
         l1i = simulator.l1i
         l1i_access = l1i.access
         l1i_fill = l1i.fill
@@ -85,7 +86,7 @@ class ScalarBackend(SimBackend):
         inflight = simulator._inflight
         cycle = simulator._cycle
 
-        # The one prediction scratch the whole loop writes into, and — for
+        # The one BTB-lookup scratch the whole loop writes into, and — for
         # designs that prefetch at all — the one context the prefetcher sees
         # (index/cycle/demand_miss_block are rewritten per iteration).  A
         # plain NullPrefetcher never observes anything, so its designs skip
@@ -94,16 +95,16 @@ class ScalarBackend(SimBackend):
         slot = PredictionSlot()
         null_prefetch = type(prefetcher) is NullPrefetcher
         context = None if null_prefetch else PrefetchContext(
-            records=records,
+            records=trace.records,  # lazy view, handed to custom prefetchers
             index=0,
             cycle=0,
             l1i=l1i,
             bpu=bpu,
             demand_miss_block=None,
             packed=packed,
+            predictions=predictions,
         )
 
-        starts = packed.starts
         instruction_counts = packed.instruction_counts
         branch_pcs = packed.branch_pcs
         kinds = packed.kinds
@@ -112,34 +113,33 @@ class ScalarBackend(SimBackend):
         next_pcs = packed.next_pcs
         block_firsts = packed.block_firsts
         block_counts = packed.block_counts
+        predicted_takens = predictions.predicted_takens
+        predicted_targets = predictions.predicted_targets
         block_size = BLOCK_SIZE_BYTES
-        instruction_size = INSTRUCTION_SIZE_BYTES
         kind_table = KIND_CODES
+        misfetches = 0
 
         for index in range(total):
             count = instruction_counts[index]
-            raw_branch_pc = branch_pcs[index]
+            branch_pc = branch_pcs[index]
             taken = bool(takens[index])
-            next_pc = next_pcs[index]
-            if raw_branch_pc == NO_VALUE:
-                branch_pc = None
-                kind = None
-                fallthrough = starts[index] + count * instruction_size
-            else:
-                branch_pc = raw_branch_pc
-                # A branch may still carry no kind (records are permitted to);
-                # the -1 sentinel must decode to None, never wrap the table.
-                code = kinds[index]
-                kind = kind_table[code] if code >= 0 else None
-                fallthrough = raw_branch_pc + instruction_size
 
-            # --- branch prediction ------------------------------------------
-            predict_into(slot, branch_pc, kind, taken, next_pc, fallthrough)
+            # --- branch prediction (a branchless region predicts nothing) ---
             btb_bubble = 0
-            if slot.btb_hit and slot.btb_latency_cycles > 1:
-                btb_bubble = slot.btb_latency_cycles - 1
-            misfetch = slot.misfetch
-            direction_miss = not slot.direction_correct and branch_pc is not None
+            misfetch = direction_miss = False
+            if branch_pc != NO_VALUE:
+                btb_lookup_into(slot, branch_pc, taken=taken)
+                if slot.btb_hit and slot.btb_latency_cycles > 1:
+                    btb_bubble = slot.btb_latency_cycles - 1
+                predicted_taken = predicted_takens[index]
+                if taken and predicted_taken:
+                    predicted_target = predicted_targets[index]
+                    if predicted_target == BTB_TARGET:
+                        predicted_target = slot.btb_target
+                    misfetch = not slot.btb_hit or predicted_target != next_pcs[index]
+                    misfetches += misfetch
+                else:
+                    direction_miss = taken != bool(predicted_taken)
 
             # --- instruction fetch ------------------------------------------
             fetch_stall = 0
@@ -191,16 +191,13 @@ class ScalarBackend(SimBackend):
                     l1i_fill(target, demand=False)
                     issued += 1
 
-            # --- resolution / training --------------------------------------
-            raw_target = target_col[index]
-            resolve(
-                branch_pc,
-                kind,
-                taken,
-                raw_target if raw_target != NO_VALUE else None,
-                next_pc,
-                fallthrough,
-            )
+            # --- BTB training -----------------------------------------------
+            if branch_pc != NO_VALUE:
+                # A branch may carry no kind: -1 decodes to None, never wraps.
+                code = kinds[index]
+                raw_target = target_col[index]
+                btb_update(branch_pc, kind_table[code] if code >= 0 else None,
+                           raw_target if raw_target != NO_VALUE else None, taken)
 
             if index < warmup_boundary:
                 continue
@@ -212,20 +209,20 @@ class ScalarBackend(SimBackend):
             result.btb_latency_stall_cycles += btb_bubble
             result.l1i_stall_cycles += fetch_stall
             result.misfetches += int(misfetch)
-            if branch_pc is not None and taken:
+            if branch_pc != NO_VALUE and taken:
                 result.btb_taken_lookups += 1
                 if not slot.btb_hit:
                     result.btb_taken_misses += 1
-            if slot.btb_level in ("l2",):
+            if branch_pc != NO_VALUE and slot.btb_level == "l2":
                 result.second_level_accesses += 1
             result.l1i_accesses += accesses
             result.l1i_misses += misses
             result.l1i_prefetch_hits += prefetch_hits
-            # Counted with the same guarded predicate the stall charge uses:
-            # a branchless region can never report a direction misprediction.
             result.direction_mispredictions += int(direction_miss)
             result.prefetches_issued += issued
 
+        predictions.install(bpu)
+        bpu.misfetches += misfetches
         simulator._cycle = cycle
         simulator._finalize(result)
         return result

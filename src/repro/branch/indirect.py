@@ -29,10 +29,16 @@ class IndirectTargetCache:
     def predict(self, branch_pc: int) -> Optional[int]:
         """Predicted target, or None when the entry belongs to another branch."""
         self.lookups += 1
+        target = self.peek(branch_pc)
+        if target is not None:
+            self.hits += 1
+        return target
+
+    def peek(self, branch_pc: int) -> Optional[int]:
+        """:meth:`predict` without touching the statistics."""
         index = self._index(branch_pc)
         if self._tags.get(index) != branch_pc:
             return None
-        self.hits += 1
         return self._targets.get(index)
 
     def update(self, branch_pc: int, target: int, predicted: Optional[int] = None) -> None:

@@ -23,11 +23,11 @@ from repro.workloads.trace import FetchRecord
 class PredictionSlot:
     """Mutable, reusable scratch holding one region's prediction outcome.
 
-    The packed simulation loop owns exactly one slot and has the branch
-    prediction unit (and, through :meth:`~repro.branch.btb_base.BaseBTB.
-    lookup_into`, the BTB) write into it every region —
-    :meth:`BranchPredictionUnit.predict_region_into` is the allocation-free
-    twin of :meth:`BranchPredictionUnit.predict_region`.  Field meanings and
+    The packed simulation loop owns exactly one slot and has the BTB write
+    into it every region (:meth:`~repro.branch.btb_base.BaseBTB.
+    lookup_into`); :meth:`BranchPredictionUnit.predict_region_into`, the
+    allocation-free twin of :meth:`BranchPredictionUnit.predict_region`,
+    fills the prediction fields too.  Field meanings and
     the derived predicates (:attr:`direction_correct`, :attr:`misfetch`)
     mirror :class:`BranchPrediction`/:class:`~repro.branch.btb_base.
     BTBLookupResult` exactly; the parity suite pins the equivalence.
@@ -208,11 +208,10 @@ class BranchPredictionUnit:
     ) -> PredictionSlot:
         """Allocation-free :meth:`predict_region`: writes into ``slot``.
 
-        The packed hot loop calls this with one preallocated
-        :class:`PredictionSlot` instead of constructing a
-        :class:`BranchPrediction` (and, for BTBs overriding
+        Fills one preallocated :class:`PredictionSlot` instead of
+        constructing a :class:`BranchPrediction` (and, for BTBs overriding
         :meth:`~repro.branch.btb_base.BaseBTB.lookup_into`, a
-        :class:`~repro.branch.btb_base.BTBLookupResult`) per region.  The
+        :class:`~repro.branch.btb_base.BTBLookupResult`).  The
         decision logic and every statistics side effect are identical to
         :meth:`predict_region` — subclasses overriding one must override
         both.
@@ -282,7 +281,11 @@ class BranchPredictionUnit:
         if kind is BranchKind.RETURN:
             self.ras.pop()
         if kind is not None and kind.is_indirect and kind is not BranchKind.RETURN:
-            self.indirect.update(branch_pc, next_pc)
+            # Nothing touched the cache since this region's prediction, so
+            # peeking now scores the target it predicted.
+            self.indirect.update(
+                branch_pc, next_pc, predicted=self.indirect.peek(branch_pc)
+            )
         self.btb.update(branch_pc, kind, target, taken)
 
     @property

@@ -18,6 +18,7 @@ from repro.workloads.packed import PackedTrace
 from repro.workloads.trace import FetchRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.branch.prediction_pass import TracePredictions
     from repro.branch.unit import BranchPredictionUnit
     from repro.caches.l1i import InstructionCache
 
@@ -44,6 +45,12 @@ class PrefetchContext:
             packed fast path; prefetchers that walk ahead (FDP) read the
             columns directly, and :meth:`region_blocks` serves the current
             region's block span from the precomputed columns.
+        predictions: the trace's prediction pass, when the engine runs the
+            packed fast path.  That path does not train ``bpu``'s direction
+            predictor, RAS or indirect cache region by region (it installs
+            their end state after the run), so a prefetcher that needs their
+            predictions reads them here (FDP reads
+            :meth:`~repro.branch.prediction_pass.TracePredictions.runahead_stops`).
     """
 
     records: Sequence[FetchRecord]
@@ -53,6 +60,7 @@ class PrefetchContext:
     bpu: Optional["BranchPredictionUnit"] = None
     demand_miss_block: Optional[int] = None
     packed: Optional[PackedTrace] = None
+    predictions: Optional["TracePredictions"] = None
 
     @property
     def current_record(self) -> FetchRecord:

@@ -62,6 +62,8 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -69,7 +71,9 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
+    cast,
 )
 
 from repro.isa.instruction import (
@@ -101,6 +105,8 @@ KIND_CODES: Tuple[BranchKind, ...] = (
     BranchKind.INDIRECT_CALL,
     BranchKind.RETURN,
 )
+
+_T = TypeVar("_T")
 
 _KIND_TO_CODE = {kind: code for code, kind in enumerate(KIND_CODES)}
 
@@ -186,6 +192,7 @@ class PackedTrace:
     __slots__ = tuple(name for name, _ in _COLUMNS) + (
         "name",
         "_instruction_count",
+        "_memo",
     )
 
     def __init__(self, columns: Iterable[Column], name: str = "trace") -> None:
@@ -206,6 +213,7 @@ class PackedTrace:
             setattr(self, attr, column)
         self.name = name
         self._instruction_count: Optional[int] = None
+        self._memo: Optional[Dict[Hashable, object]] = None
 
     @classmethod
     def from_buffers(
@@ -253,6 +261,22 @@ class PackedTrace:
         if self._instruction_count is None:
             self._instruction_count = sum(self.instruction_counts)
         return self._instruction_count
+
+    def memoized(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, computed once per ``key`` for this trace object.
+
+        Derived per-trace data that every simulation of the trace shares
+        (the trace-only branch prediction pass) lives here, on the object:
+        it dies with the trace, a :meth:`slice` or a pickled copy starts
+        without it, and ``key`` must name everything ``compute`` reads
+        besides the columns.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key not in memo:
+            memo[key] = compute()
+        return cast(_T, memo[key])
 
     def region_blocks(self, index: int) -> Tuple[int, ...]:
         """Block addresses touched by region ``index``, in fetch order."""

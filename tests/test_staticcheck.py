@@ -45,10 +45,13 @@ class TestRepositoryIsClean:
         from repro.backends.scalar import ScalarBackend
         from repro.branch.btb_conventional import ConventionalBTB, PerfectBTB
         from repro.branch.btb_two_level import TwoLevelBTB
+        from repro.branch.prediction_pass import _runahead_stops, _walk
         from repro.branch.unit import BranchPredictionUnit
 
         for func in (
             ScalarBackend.run,
+            _walk,
+            _runahead_stops,
             BranchPredictionUnit.predict_region_into,
             ConventionalBTB.lookup_into,
             PerfectBTB.lookup_into,
